@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="max codewords for exhaustive distance")
+                       help="largest q^K for which the exact distance is computed")
 
     pc = sub.add_parser("construct", help="build one code from explicit seeds")
     add_ring_args(pc)

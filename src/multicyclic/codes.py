@@ -14,13 +14,22 @@ from typing import Optional
 import numpy as np
 
 from . import orbits as orb_mod
-from .errors import BudgetExceeded, Infeasible, RankDeficient, ZeroIdempotent
-from .linalg import GfMatrix, RowReducer, in_span, rref
+from .errors import (
+    BoundViolated,
+    BudgetExceeded,
+    Infeasible,
+    RankDeficient,
+    ZeroIdempotent,
+)
+from .linalg import GfMatrix, RowReducer, in_span, rank, rref
 from .orbits import DefiningSet, closure
 from .ring import Poly, Ring
 from .spectral import fourier, idempotent_from_set
 
 DEFAULT_BUDGET = 3_000_000
+# Field elements in one span table of min_distance: 8 MB of int64, so a
+# table plus the temporaries of one field addition stays in tens of MB.
+TABLE_LIMIT = 1 << 20
 
 BASIS_BOX = "box"
 BASIS_GREEDY = "greedy"
@@ -107,9 +116,44 @@ def generator_matrix(basis, ring: Ring) -> GfMatrix:
     return GfMatrix(ring.field, np.stack([p.vector() for p in basis]))
 
 
+def _projective_codewords(fld, rows):
+    """Yield arrays whose rows, taken together, are g_j + c for every row
+    g_j and every c in the span of the rows before it: one nonzero
+    multiple of each nonzero codeword (with multiplicity when rows are
+    dependent).
+
+    The span of the leading rows is built level by level in a table of at
+    most TABLE_LIMIT elements (or one level of q rows, if that is larger);
+    the codewords of the remaining rows come from the same enumeration
+    applied to them, each added as an offset to the whole table.
+    """
+    k, n = rows.shape
+    q = fld.q
+    inner = 1
+    while inner < k and q ** (inner + 1) * n <= TABLE_LIMIT:
+        inner += 1
+    scalars = np.arange(q, dtype=np.int64)[:, None, None]
+    table = np.zeros((1, n), dtype=np.int64)
+    for j in range(inner):
+        yield fld.add(table, rows[j])
+        if j + 1 < k:
+            multiples = fld.mul(scalars, rows[j])
+            table = fld.add(multiples, table).reshape(-1, n)
+    if inner < k:
+        for offsets in _projective_codewords(fld, rows[inner:]):
+            for v in offsets:
+                yield fld.add(table, v)
+
+
 def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by exhaustive
-    chunked enumeration of message vectors."""
+    """Minimum Hamming weight over all nonzero codewords.
+
+    Exact, by projective enumeration: every nonzero codeword is a nonzero
+    scalar times one whose message has last nonzero coordinate 1, so only
+    those (q^K - 1)/(q - 1) codewords are formed, each by one vector of
+    field additions.  The budget still bounds q^K.  Dependent rows give 0,
+    the weight of the zero codeword they produce.
+    """
     fld = G.field
     q, K = fld.q, G.rows
     total = q ** K
@@ -118,15 +162,12 @@ def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
     if K == 0:
         raise ZeroIdempotent("zero code has no nonzero codewords")
     best = G.cols
-    chunk = max(1, min(total, 1 << 16))
-    for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = np.stack([(idx // q ** t) % q for t in range(K)], axis=1)
-        cw = np.asarray(fld.dot(msgs, G.array))
-        w = int(np.count_nonzero(cw, axis=1).min())
-        best = min(best, w)
-        if best == 1:
-            break
+    for cw in _projective_codewords(fld, G.array):
+        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
+        if best <= 1:
+            # weight 1 ends the search unless dependent rows still hold
+            # a zero codeword further on
+            return 0 if best == 0 or rank(G) < K else 1
     return best
 
 
@@ -186,10 +227,10 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET,
         d = min_distance(G, budget)
     elif require_d:
         raise BudgetExceeded(f"{q ** K} codewords exceed budget {budget}")
-    if d is not None:
-        assert d <= sb, "Singleton bound violated: internal error"
-        if applicable:
-            assert d >= pb, "product bound violated: internal error"
+    if d is not None and d > sb:
+        raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
+    if d is not None and applicable and d < pb:
+        raise BoundViolated(f"d = {d} is below the product bound {pb}")
     return CodeRecord(
         ring=ring, defining_set=S, idempotent=e, n=n, K=K, k_profile=kp,
         basis_kind=kind, generator=G, d=d, product_bound=pb,
@@ -261,7 +302,9 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
            samples: int = 10_000) -> list[CodeRecord]:
     """All (or sampled) codes whose defining set is a union of orbits of
     total size K_target, ranked by exact distance descending; ties break
-    toward the lexicographically smallest defining set."""
+    toward the lexicographically smallest defining set.  Raises
+    BudgetExceeded before constructing any candidate when q^K_target
+    exceeds the budget, since the candidates could not be ranked."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
     orbs = orb_mod.all_orbits(ring.lengths, ring.field.q)
@@ -270,6 +313,11 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     total = counts[0][K_target]
     if total == 0:
         raise Infeasible(f"no union of orbits has total size {K_target}")
+    q = ring.field.q
+    if q ** K_target > budget:
+        raise BudgetExceeded(
+            f"{q ** K_target} codewords exceed budget {budget}: "
+            "candidates cannot be ranked")
     if total <= exhaustive_limit:
         selections = _enumerate_subsets(sizes, K_target, counts)
     else:
@@ -286,6 +334,5 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     for sel in selections:
         seeds = [orbs[i].representative for i in sel]
         records.append(construct(ring, seeds, budget=budget))
-    records.sort(key=lambda r: (
-        -(r.d if r.d is not None else 0), r.defining_set.sorted()))
+    records.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
     return records

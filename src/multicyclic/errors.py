@@ -61,6 +61,11 @@ class RankDeficient(MulticyclicError):
     """Internal consistency failure: basis does not reach full rank."""
 
 
+class BoundViolated(MulticyclicError):
+    """Internal consistency failure: a computed distance breaks a bound
+    that holds for every code."""
+
+
 class BudgetExceeded(MulticyclicError):
     """Exact minimum-distance enumeration would exceed the codeword budget."""
 

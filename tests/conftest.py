@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from multicyclic import Field, Ring, fourier, fourier_inverse
+from multicyclic.codes import DEFAULT_BUDGET
+from multicyclic.errors import BudgetExceeded, ZeroIdempotent
+from multicyclic.linalg import GfMatrix
 from multicyclic.spectral import Spectrum
 
 
@@ -31,6 +34,26 @@ def f9():
 def ring3(f3):
     """The reference ring: GF(3)[x,y,z] / <x^2-1, y^2-1, z^2-1>."""
     return Ring(f3, (2, 2, 2))
+
+
+def divisor_lengths(q, max_n=64):
+    return [n for n in range(2, min(q, max_n + 1)) if (q - 1) % n == 0]
+
+
+def enumerate_rings(qs=(3, 5, 7, 8, 9), max_r=3, max_N=64):
+    """All rings up to axis permutation: non-increasing length tuples."""
+    fields = {3: Field(3), 5: Field(5), 7: Field(7),
+              8: Field(2, 3), 9: Field(3, 2)}
+    out = []
+    for q in qs:
+        divs = divisor_lengths(q)
+        for r in range(1, max_r + 1):
+            for tup in itertools.combinations_with_replacement(sorted(divs, reverse=True), r):
+                if sorted(tup, reverse=True) != list(tup):
+                    continue
+                if np.prod(tup) <= max_N:
+                    out.append(Ring(fields[q], tup))
+    return out
 
 
 def brute_field_mul(field, a, b):
@@ -70,4 +93,27 @@ def spectral_min_distance(ring, S):
         w = cw.weight()
         if w and (best is None or w < best):
             best = w
+    return best
+
+
+def exhaustive_min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum Hamming weight over all nonzero codewords, by exhaustive
+    chunked enumeration of message vectors."""
+    fld = G.field
+    q, K = fld.q, G.rows
+    total = q ** K
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
+    if K == 0:
+        raise ZeroIdempotent("zero code has no nonzero codewords")
+    best = G.cols
+    chunk = max(1, min(total, 1 << 16))
+    for start in range(1, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        msgs = np.stack([(idx // q ** t) % q for t in range(K)], axis=1)
+        cw = np.asarray(fld.dot(msgs, G.array))
+        w = int(np.count_nonzero(cw, axis=1).min())
+        best = min(best, w)
+        if best == 1:
+            break
     return best

@@ -24,6 +24,8 @@ from multicyclic import (
     search,
 )
 
+from conftest import enumerate_rings
+
 REFERENCE_SEEDS_K3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 REFERENCE_SEEDS_K4 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
@@ -32,26 +34,6 @@ def report(name, start, limit):
     elapsed = time.perf_counter() - start
     print(f"ACCEPTANCE {name}: PASS ({elapsed:.2f}s, limit {limit}s)")
     assert elapsed < limit, f"{name} exceeded the {limit}s budget"
-
-
-def divisor_lengths(q, max_n=64):
-    return [n for n in range(2, min(q, max_n + 1)) if (q - 1) % n == 0]
-
-
-def enumerate_rings(qs=(3, 5, 7, 8, 9), max_r=3, max_N=64):
-    """All rings up to axis permutation: non-increasing length tuples."""
-    fields = {3: Field(3), 5: Field(5), 7: Field(7),
-              8: Field(2, 3), 9: Field(3, 2)}
-    out = []
-    for q in qs:
-        divs = divisor_lengths(q)
-        for r in range(1, max_r + 1):
-            for tup in itertools.combinations_with_replacement(sorted(divs, reverse=True), r):
-                if sorted(tup, reverse=True) != list(tup):
-                    continue
-                if np.prod(tup) <= max_N:
-                    out.append(Ring(fields[q], tup))
-    return out
 
 
 def test_criterion_1_reference_reproduction(ring3):

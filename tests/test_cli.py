@@ -110,6 +110,14 @@ def test_search_full_space(capsys):
     assert "d=1" in out
 
 
+def test_search_over_budget_exits_4(capsys):
+    code, out, err = run(capsys, "search", "--p", "7", "--lengths", "6,6",
+                         "--K", "3", "--budget", "10")
+    assert code == 4
+    assert out == ""
+    assert "343 codewords exceed budget 10" in err
+
+
 def test_search_csv(capsys):
     code, out, _ = run(capsys, "search", "--p", "5", "--lengths", "4,2",
                        "--K", "4", "--format", "csv", "--top", "3")

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +18,21 @@ from multicyclic import (
     in_span,
     k_profile,
     min_distance,
+    rank,
     rref,
     search,
     theta,
 )
+from multicyclic import codes
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, literal_monomial_sum
-from multicyclic.errors import BudgetExceeded, Infeasible, ZeroIdempotent
+from multicyclic.errors import (
+    BoundViolated,
+    BudgetExceeded,
+    Infeasible,
+    ZeroIdempotent,
+)
 
-from conftest import spectral_min_distance
+from conftest import enumerate_rings, exhaustive_min_distance, spectral_min_distance
 
 REFERENCE_SEEDS_K3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 REFERENCE_SEEDS_K4 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -133,6 +144,90 @@ def test_min_distance_budget(ring3):
         min_distance(GfMatrix(ring3.field, [[1] * 8] * 3), budget=10)
 
 
+def test_min_distance_matches_exhaustive_oracle_on_every_ring():
+    rng = random.Random(35)
+    for ring in enumerate_rings():
+        q = ring.field.q
+        for _ in range(3):
+            k = rng.randrange(1, ring.N + 1)
+            G = construct(ring, rng.sample(ring.monomials, k), budget=0).generator
+            if q ** G.rows > 20_000:
+                G = GfMatrix(ring.field, G.array[:rng.randrange(1, 5)])
+            assert min_distance(G) == exhaustive_min_distance(G), (ring, G.array)
+
+
+def test_min_distance_small_and_dependent_rows(f5, f9):
+    for fld, rows, d in [(f5, [[0, 3, 0, 1]], 2), (f9, [[7, 0, 0]], 1)]:
+        G = GfMatrix(fld, rows)
+        assert min_distance(G) == exhaustive_min_distance(G) == d
+    # the oracle may stop at a weight-1 codeword before the zero codeword
+    # of dependent rows, so these are checked against 0 alone
+    r0, r1 = [1, 5, 0], [3, 0, 8]
+    r2 = f9.add(f9.mul(2, r0), r1).tolist()
+    for fld, rows in [(f5, [[0, 0, 0, 0]]),
+                      (f5, [[1, 2, 3, 4], [0, 0, 0, 0], [1, 1, 0, 0]]),
+                      (f5, [[1, 2, 3, 4], [2, 4, 1, 3]]),
+                      (f5, [[1, 0, 0], [2, 0, 0]]),
+                      (f9, [r0, r1, r2]),
+                      (f9, [r2, r0, r1])]:
+        assert min_distance(GfMatrix(fld, rows)) == 0, rows
+
+
+@pytest.mark.parametrize("limit", [1, 40, 300])
+def test_min_distance_with_small_table_limits(limit, monkeypatch):
+    # tiny tables send most codewords through the nested offset loops
+    monkeypatch.setattr(codes, "TABLE_LIMIT", limit)
+    rng = random.Random(limit)
+    for fld in (Field(3), Field(2, 2), Field(5), Field(3, 2)):
+        for _ in range(15):
+            k = rng.randrange(1, 6 if fld.q < 9 else 5)
+            n = rng.randrange(k, 9)
+            G = GfMatrix(fld, [[rng.randrange(fld.q) for _ in range(n)]
+                               for _ in range(k)])
+            d = 0 if rank(G) < k else exhaustive_min_distance(G)
+            assert min_distance(G) == d, G.array
+
+
+def test_min_distance_past_the_table_limit_in_bounded_memory():
+    fld = Field(2)
+    rng = np.random.default_rng(36)
+    G = GfMatrix(fld, rng.integers(0, 2, size=(20, 64)))
+    assert 2 ** 20 * 64 > codes.TABLE_LIMIT
+    tracemalloc.start()
+    try:
+        d = min_distance(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert d == exhaustive_min_distance(G)
+
+
+def test_bound_violation_raises(ring3, monkeypatch):
+    monkeypatch.setattr(codes, "min_distance", lambda G, budget: G.cols)
+    with pytest.raises(BoundViolated, match="Singleton"):
+        construct(ring3, REFERENCE_SEEDS_K3)
+    monkeypatch.setattr(codes, "min_distance", lambda G, budget: 0)
+    with pytest.raises(BoundViolated, match="product bound"):
+        construct(ring3, ring3.monomials)
+
+
+def test_bound_violation_raises_under_optimize():
+    script = (
+        "from multicyclic import Field, Ring, codes\n"
+        "from multicyclic.errors import BoundViolated\n"
+        "codes.min_distance = lambda G, budget: G.cols\n"
+        "try:\n"
+        "    codes.construct(Ring(Field(3), (2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])\n"
+        "except BoundViolated:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(codes.__file__))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dimension_identity_random(f3, f5, f9):
     rng = random.Random(31)
     for ring in (Ring(f3, (2, 2, 2)), Ring(f5, (4, 2)), Ring(f9, (4, 2))):
@@ -234,6 +329,14 @@ def test_search_f5_golden(f5):
         spectral_min_distance(ring, list(S))
         for S in itertools.combinations(ring.monomials, 4))
     assert records[0].d == oracle_best == 4
+
+
+def test_search_over_budget_constructs_nothing(ring3, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a candidate was constructed")
+    monkeypatch.setattr(codes, "construct", fail)
+    with pytest.raises(BudgetExceeded):
+        search(ring3, 3, budget=26)
 
 
 def test_search_sampling_deterministic(ring3):
