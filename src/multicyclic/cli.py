@@ -303,6 +303,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.top < 0:
+        print(f"error: --top must be 0 or more, got {args.top}", file=sys.stderr)
+        return EXIT_VALIDATION
     ring = _build_ring(args)
     records = search(ring, args.K, budget=args.budget, seed=args.seed)
     top = records[:args.top] if args.top else records

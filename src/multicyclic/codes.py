@@ -197,8 +197,7 @@ def bound_applicable(S, lengths, kp) -> bool:
     return all(_is_cyclic_interval(a, n) for a, n in zip(proj, lengths))
 
 
-def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET,
-              require_d: bool = False) -> CodeRecord:
+def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     """Full pipeline: close the seeds under the Frobenius action, build
     the generating idempotent, the basis and generator matrix, and the
     exact distance when the enumeration fits the budget."""
@@ -225,8 +224,6 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET,
     d = None
     if q ** K <= budget:
         d = min_distance(G, budget)
-    elif require_d:
-        raise BudgetExceeded(f"{q ** K} codewords exceed budget {budget}")
     if d is not None and d > sb:
         raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
     if d is not None and applicable and d < pb:
@@ -250,53 +247,6 @@ def literal_monomial_sum(ring: Ring, representatives) -> Poly:
 
 # -- search over orbit selections ------------------------------------------
 
-def _suffix_counts(sizes, K):
-    # counts[i][s] = number of subsets of sizes[i:] summing to s
-    n = len(sizes)
-    counts = [[0] * (K + 1) for _ in range(n + 1)]
-    counts[n][0] = 1
-    for i in range(n - 1, -1, -1):
-        for s in range(K + 1):
-            c = counts[i + 1][s]
-            if sizes[i] <= s:
-                c += counts[i + 1][s - sizes[i]]
-            counts[i][s] = c
-    return counts
-
-
-def _enumerate_subsets(sizes, K, counts):
-    n = len(sizes)
-
-    def rec(i, s, chosen):
-        if s == 0:
-            yield list(chosen)
-            return
-        if i >= n or counts[i][s] == 0:
-            return
-        if sizes[i] <= s and counts[i + 1][s - sizes[i]]:
-            chosen.append(i)
-            yield from rec(i + 1, s - sizes[i], chosen)
-            chosen.pop()
-        if counts[i + 1][s]:
-            yield from rec(i + 1, s, chosen)
-
-    yield from rec(0, K, [])
-
-
-def _sample_subset(sizes, K, counts, rng):
-    # uniform over all subsets summing to K, guided by the DP counts
-    chosen = []
-    i, s = 0, K
-    while s > 0:
-        with_i = counts[i + 1][s - sizes[i]] if sizes[i] <= s else 0
-        total = counts[i][s]
-        if rng.randrange(total) < with_i:
-            chosen.append(i)
-            s -= sizes[i]
-        i += 1
-    return chosen
-
-
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
            seed: int = 0, exhaustive_limit: int = 100_000,
            samples: int = 10_000) -> list[CodeRecord]:
@@ -307,29 +257,22 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     exceeds the budget, since the candidates could not be ranked."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
+    # n_t | q-1 makes every orbit a singleton, so the candidates are the
+    # K_target-subsets of the orbits
     orbs = orb_mod.all_orbits(ring.lengths, ring.field.q)
-    sizes = [o.size for o in orbs]
-    counts = _suffix_counts(sizes, K_target)
-    total = counts[0][K_target]
-    if total == 0:
-        raise Infeasible(f"no union of orbits has total size {K_target}")
+    total = math.comb(len(orbs), K_target)
     q = ring.field.q
     if q ** K_target > budget:
         raise BudgetExceeded(
             f"{q ** K_target} codewords exceed budget {budget}: "
             "candidates cannot be ranked")
     if total <= exhaustive_limit:
-        selections = _enumerate_subsets(sizes, K_target, counts)
+        selections = itertools.combinations(range(len(orbs)), K_target)
     else:
         rng = random.Random(seed)
-        seen = set()
-        picks = []
-        while len(picks) < min(samples, total):
-            sel = tuple(_sample_subset(sizes, K_target, counts, rng))
-            if sel not in seen:
-                seen.add(sel)
-                picks.append(list(sel))
-        selections = picks
+        selections = set()
+        while len(selections) < min(samples, total):
+            selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
     records = []
     for sel in selections:
         seeds = [orbs[i].representative for i in sel]

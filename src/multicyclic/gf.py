@@ -267,18 +267,6 @@ class Field:
             return pow(a, e, self.p)
         return int(self._exp[(self._log[a] * e) % (self.q - 1)])
 
-    def sum(self, arr, axis=None):
-        arr = np.asarray(arr)
-        if self.m == 1:
-            return self._ret(arr.sum(axis=axis) % self.p)
-        p = self.p
-        shape = arr.sum(axis=axis).shape
-        out = np.zeros(shape, dtype=np.int64)
-        for i in range(self.m):
-            pi = p ** i
-            out += (((arr // pi) % p).sum(axis=axis) % p) * pi
-        return self._ret(out)
-
     def dot(self, A, B):
         """Matrix/vector product with field arithmetic (matmul semantics)."""
         A = np.asarray(A, dtype=np.int64)
@@ -322,9 +310,6 @@ class Field:
             x = int(self.mul(x, a))
             k += 1
         return k
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         if self.m == 1:

@@ -31,10 +31,9 @@ class Orbit:
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A subset of the index box, optionally known to be orbit-closed."""
+    """A subset of the index box."""
 
     indices: frozenset
-    closed: bool = False
 
     def sorted(self) -> list:
         return sorted(self.indices)
@@ -95,7 +94,7 @@ def closure(seeds, lengths, multiplier: int) -> DefiningSet:
     indices = set()
     for idx in seeds:
         indices.update(orbit_of(idx, lengths, multiplier).members)
-    return DefiningSet(indices=frozenset(indices), closed=True)
+    return DefiningSet(indices=frozenset(indices))
 
 
 def combinatorial_form(e: Poly, multiplier: int | None = None) -> dict:

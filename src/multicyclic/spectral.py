@@ -3,8 +3,9 @@
 The transform evaluates a ring element at every tuple of root powers
 (w_1^{j_1}, ..., w_r^{j_r}); it is linear and bijective, turns ring
 multiplication into pointwise spectrum multiplication, and sends the
-primitive idempotent at index i to the Kronecker delta at i.  Transforms
-are direct O(N^2) matrix products, exact at desk scale.
+primitive idempotent at index i to the Kronecker delta at i.  Both
+directions are `Ring.transform`: one n_t x n_t table per axis, in
+O(N * sum n_t) time and O(N) memory.
 """
 
 from __future__ import annotations
@@ -47,19 +48,12 @@ class Spectrum:
 
 def fourier(f: Poly) -> Spectrum:
     """f_hat(j_1,...,j_r) = f(w_1^{j_1}, ..., w_r^{j_r})."""
-    ring = f.ring
-    vec = ring.field.dot(ring.fourier_matrix, f.vector())
-    flat = np.zeros(ring.N, dtype=np.int64)
-    flat[ring._gather] = vec
-    return Spectrum(ring, flat.reshape(ring.lengths))
+    return Spectrum(f.ring, f.ring.transform(f.coeffs))
 
 
 def fourier_inverse(s: Spectrum) -> Poly:
     """Coefficients c[m] = (1/N) sum_j s[j] prod_t w_t^{-j_t m_t}."""
-    ring = s.ring
-    svec = s.values.ravel()[ring._gather]
-    vec = ring.field.dot(ring.fourier_inverse_matrix, svec)
-    return ring.from_vector(vec)
+    return Poly(s.ring, s.ring.transform(s.values, inverse=True))
 
 
 def theta(ring: Ring, axis: int, index: int) -> Poly:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -74,6 +75,74 @@ def brute_field_mul(field, a, b):
         for i, mc in enumerate(field.modulus[:-1]):
             res[k - m + i] = (res[k - m + i] - c * mc) % p
     return sum(c * p ** i for i, c in enumerate(res[:m]))
+
+
+def _axis_power_table(ring, t, sign=1):
+    n = ring.lengths[t]
+    pw = np.array([ring.field.pow(ring.roots[t], sign * k) for k in range(n)],
+                  dtype=np.int64)
+    return pw[np.outer(np.arange(n), np.arange(n)) % n]
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_fourier_matrix(ring):
+    """F[a, b] = prod_t w_t^(m_a[t] * m_b[t]) over the monomial order."""
+    J = np.array(ring.monomials, dtype=np.int64)
+    F = np.ones((ring.N, ring.N), dtype=np.int64)
+    for t in range(ring.r):
+        P = _axis_power_table(ring, t)
+        F = np.asarray(ring.field.mul(F, P[np.ix_(J[:, t], J[:, t])]))
+    return F
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_fourier_inverse_matrix(ring):
+    J = np.array(ring.monomials, dtype=np.int64)
+    F = np.ones((ring.N, ring.N), dtype=np.int64)
+    for t in range(ring.r):
+        P = _axis_power_table(ring, t, sign=-1)
+        F = np.asarray(ring.field.mul(F, P[np.ix_(J[:, t], J[:, t])]))
+    n_inv = ring.field.inv(ring.N % ring.field.p)
+    return np.asarray(ring.field.mul(n_inv, F))
+
+
+@functools.lru_cache(maxsize=None)
+def _conv_index(ring):
+    # CONV[a, u] = position of monomial (m_a - m_u mod lengths)
+    mono_pos = {e: i for i, e in enumerate(ring.monomials)}
+    idx = np.empty((ring.N, ring.N), dtype=np.int64)
+    for a, ma in enumerate(ring.monomials):
+        for u, mu in enumerate(ring.monomials):
+            diff = tuple((x - y) % n for x, y, n in zip(ma, mu, ring.lengths))
+            idx[a, u] = mono_pos[diff]
+    return idx
+
+
+def dense_fourier(f):
+    """Independent oracle: the transform as one dense N x N product over
+    the monomial order, O(N^2)."""
+    ring = f.ring
+    vec = ring.field.dot(_dense_fourier_matrix(ring), f.vector())
+    flat = np.zeros(ring.N, dtype=np.int64)
+    flat[ring._gather] = vec
+    return Spectrum(ring, flat.reshape(ring.lengths))
+
+
+def dense_fourier_inverse(s):
+    """Independent oracle: the inverse transform as one dense N x N product."""
+    ring = s.ring
+    svec = s.values.ravel()[ring._gather]
+    vec = ring.field.dot(_dense_fourier_inverse_matrix(ring), svec)
+    return ring.from_vector(vec)
+
+
+def schoolbook_mul(a, b):
+    """Independent oracle: multidimensional cyclic convolution through an
+    N x N table of monomial differences, O(N^2), with no transform."""
+    ring = a.ring
+    B = b.vector()[_conv_index(ring)]
+    vec = ring.field.dot(B, a.vector())
+    return ring.from_vector(vec)
 
 
 def spectral_codewords(ring, S):

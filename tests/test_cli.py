@@ -95,6 +95,13 @@ def test_validation_exit_codes(capsys):
     assert code == 5
 
 
+def test_search_negative_top_rejected(capsys):
+    code, out, err = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
+                         "--K", "3", "--top", "-54")
+    assert code == 2 and "--top" in err
+    assert out == ""
+
+
 def test_search_reference(capsys):
     code, out, _ = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
                        "--K", "3", "--top", "5")

@@ -91,7 +91,6 @@ def test_closure():
     assert closure([], (7,), 2).sorted() == []
     S = closure([(3,)], (7,), 2)
     assert S.sorted() == [(3,), (5,), (6,)]
-    assert S.closed
 
 
 def test_closure_of_reference_set(ring3):
