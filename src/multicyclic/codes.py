@@ -1,5 +1,6 @@
 """Multicyclic code construction: generating idempotent, shift-degree
-profile, polynomial basis, generator matrix, exact minimum distance and
+profile (read off the spectral support), polynomial basis (one greedy
+scan of monomial multiples), generator matrix, exact minimum distance and
 the product bound, plus exhaustive/randomized search over orbit unions.
 """
 
@@ -21,7 +22,7 @@ from .errors import (
     RankDeficient,
     ZeroIdempotent,
 )
-from .linalg import GfMatrix, RowReducer, in_span, rank, rref
+from .linalg import GfMatrix, RowReducer, rank, rref
 from .orbits import DefiningSet, closure
 from .ring import Poly, Ring
 from .spectral import fourier, idempotent_from_set
@@ -56,55 +57,36 @@ class CodeRecord:
 
 
 def k_profile(e: Poly) -> tuple:
-    """Per-axis minimal k with X_t^k e dependent on lower shifts of e."""
+    """Per-axis minimal k with X_t^k e dependent on lower shifts of e.
+
+    X_t multiplies the spectrum of e at j by w_t^(j_t), so the shifts of e
+    along axis t form a Vandermonde system with one node per distinct t-th
+    coordinate of the spectral support: k_t is the number of those
+    coordinates.  For a generating idempotent the support is the defining
+    set S, so k_t = |proj_t(S)|."""
     if e.is_zero():
         raise ZeroIdempotent("k profile of the zero element is undefined")
-    ring = e.ring
-    fld = ring.field
-    out = []
-    for t in range(ring.r):
-        red = RowReducer(fld, ring.N)
-        red.add(e.vector())
-        k = ring.lengths[t]
-        for m in range(1, ring.lengths[t]):
-            v = e.shift(t, m).vector()
-            if red.contains(v):
-                k = m
-                break
-            red.add(v)
-        out.append(k)
-    return tuple(out)
+    support = fourier(e).support()
+    return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
 def build_basis(e: Poly, K: int, kp: tuple):
-    """Basis polynomials for <e>.
+    """Basis polynomials for <e>: the monomial multiples of e that raise the
+    rank, scanned in the ring's monomial order.
 
-    Box basis {X^m e : m_t < k_t} when prod(k_t) equals the dimension;
-    otherwise a greedy rank-building scan of monomial multiples of e in
-    the ring's monomial order.
-    """
+    X^m e with some m_t >= k_t depends on multiples of lower degree, so the
+    scan only picks exponents inside the box m_t < k_t; it picks the whole
+    box, in the same order, exactly when prod(k_t) = K, i.e. when the
+    defining set is the product of its projections."""
     ring = e.ring
-    fld = ring.field
-    if math.prod(kp) == K:
-        exps = sorted(
-            (tuple(m) for m in np.ndindex(*kp)),
-            key=lambda m: (sum(m), tuple(-x for x in m)))
-        polys = [e.translate(m) for m in exps]
-        red = RowReducer(fld, ring.N)
-        for p in polys:
-            red.add(p.vector())
-        if red.rank != K:
-            raise RankDeficient(
-                f"box basis has rank {red.rank}, expected {K}")
-        return polys, BASIS_BOX
     polys = []
-    red = RowReducer(fld, ring.N)
+    red = RowReducer(ring.field, ring.N)
     for m in ring.monomials:
         cand = e.translate(m)
         if red.add(cand.vector()):
             polys.append(cand)
         if red.rank == K:
-            return polys, BASIS_GREEDY
+            return polys, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
     raise RankDeficient(
         f"monomial multiples of e span rank {red.rank}, expected {K}")
 
@@ -187,13 +169,12 @@ def bound_applicable(S, lengths, kp) -> bool:
     Cartesian product of per-axis cyclic intervals (so the code is a
     tensor product of MDS-like univariate codes).  The weaker condition
     prod(k_t) = K admits counterexamples, e.g. S = {0, 4} at length 8
-    over a field with an 8th root of unity."""
-    indices = set(map(tuple, S))
-    proj = [sorted({idx[t] for idx in indices}) for t in range(len(lengths))]
-    if any(len(a) != k for a, k in zip(proj, kp)):
+    over a field with an 8th root of unity.  kp is the k profile of the
+    idempotent of S, so k_t = |proj_t(S)| and S is the product of its
+    projections exactly when prod(k_t) = |S|."""
+    if math.prod(kp) != len(S):
         return False
-    if indices != set(itertools.product(*proj)):
-        return False
+    proj = [{idx[t] for idx in S} for t in range(len(lengths))]
     return all(_is_cyclic_interval(a, n) for a, n in zip(proj, lengths))
 
 

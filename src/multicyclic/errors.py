@@ -25,6 +25,10 @@ class OrderNotDividing(MulticyclicError):
     """n does not divide q-1: no primitive n-th root of unity exists."""
 
 
+class RingTooLarge(MulticyclicError):
+    """The ring has more than MAX_N coefficients."""
+
+
 class CtxMismatch(MulticyclicError):
     pass
 

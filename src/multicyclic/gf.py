@@ -76,6 +76,11 @@ def _poly_mulmod(a, b, mod, p):
     return _poly_mod(res, mod, p)
 
 
+def _digits(x: int, p: int, m: int) -> list:
+    """The m base-p digits of x, lowest first."""
+    return [(x // p ** i) % p for i in range(m)]
+
+
 def _is_irreducible(poly, p) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     poly = _poly_trim(list(poly))
@@ -84,23 +89,9 @@ def _is_irreducible(poly, p) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for low in range(p ** d):
-            div = [(low // p ** i) % p for i in range(d)] + [1]
-            if not _poly_trim(_divides_remainder(poly, div, p)):
+            if not _poly_mod(poly, _digits(low, p, d) + [1], p):
                 return False
     return True
-
-
-def _divides_remainder(a, div, p):
-    a = list(a)
-    dd = len(div) - 1
-    inv_lead = pow(div[-1], p - 2, p)
-    while len(_poly_trim(a)) - 1 >= dd:
-        a = _poly_trim(a)
-        shift = len(a) - 1 - dd
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(div):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-    return _poly_trim(a)
 
 
 class Field:
@@ -110,10 +101,11 @@ class Field:
     """
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise NotPrime(f"p = {p} is not prime")
+        # the range check comes first: trial division of a large p is slow
         if m < 1 or m > 16 or p ** m > MAX_ORDER:
             raise DegreeTooLarge(f"p^m = {p}^{m} outside supported range")
+        if not _is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
         self.p = p
         self.m = m
         self.q = p ** m
@@ -144,7 +136,7 @@ class Field:
         # base-p integer ascending: deterministic across runs
         p, m = self.p, self.m
         for low in range(p ** m):
-            cand = tuple((low // p ** i) % p for i in range(m)) + (1,)
+            cand = tuple(_digits(low, p, m)) + (1,)
             if _is_irreducible(cand, p):
                 return cand
         raise ReducibleModulus("no irreducible modulus found")  # unreachable
@@ -161,9 +153,7 @@ class Field:
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
-        da = [(a // p ** i) % p for i in range(m)]
-        db = [(b // p ** i) % p for i in range(m)]
-        digits = _poly_mulmod(da, db, self.modulus, p)
+        digits = _poly_mulmod(_digits(a, p, m), _digits(b, p, m), self.modulus, p)
         return sum(c * p ** i for i, c in enumerate(digits))
 
     def _find_generator(self, mul) -> int:

@@ -131,11 +131,3 @@ class RowReducer:
         self.rows.append(v)
         self.pivots.append(pc)
         return True
-
-    def contains(self, v) -> bool:
-        fld = self.field
-        v = np.asarray(v, dtype=np.int64).copy()
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                v = np.asarray(fld.sub(v, fld.mul(int(v[pc]), row)))
-        return not v.any()

@@ -13,14 +13,25 @@ degree, ties broken lexicographically with X_1 > X_2 > ... > X_r.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ArityMismatch, AxisOutOfRange, CtxMismatch, OrderNotDividing
+from .errors import (
+    ArityMismatch,
+    AxisOutOfRange,
+    CtxMismatch,
+    OrderNotDividing,
+    RingTooLarge,
+)
 from .gf import Field
 
 _VAR_NAMES_SHORT = ("x", "y", "z")
+
+# Largest number of coefficients N = prod(n_t); the sorted monomial list
+# alone is O(N) Python tuples.
+MAX_N = 1 << 16
 
 
 class Ring:
@@ -34,10 +45,13 @@ class Ring:
             if (field.q - 1) % n != 0:
                 raise OrderNotDividing(
                     f"axis {t + 1}: n = {n} does not divide q-1 = {field.q - 1}")
+        N = math.prod(lengths)
+        if N > MAX_N:
+            raise RingTooLarge(f"N = {N} coefficients exceeds the limit {MAX_N}")
         self.field = field
         self.lengths = lengths
         self.r = len(lengths)
-        self.N = int(np.prod(lengths))
+        self.N = N
         self.roots = tuple(field.nth_root_of_unity(n) for n in lengths)
         self.monomials = sorted(
             itertools.product(*(range(n) for n in lengths)),

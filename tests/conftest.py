@@ -1,13 +1,14 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from multicyclic import Field, Ring, fourier, fourier_inverse
-from multicyclic.codes import DEFAULT_BUDGET
-from multicyclic.errors import BudgetExceeded, ZeroIdempotent
-from multicyclic.linalg import GfMatrix
+from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
+from multicyclic.errors import BudgetExceeded, RankDeficient, ZeroIdempotent
+from multicyclic.linalg import GfMatrix, RowReducer, in_span
 from multicyclic.spectral import Spectrum
 
 
@@ -186,3 +187,54 @@ def exhaustive_min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
         if best == 1:
             break
     return best
+
+
+def rank_scan_k_profile(e):
+    """Independent oracle: per axis, the first k with X_t^k e in the span
+    of e, X_t e, ..., X_t^(k-1) e, found by solving for the coefficients
+    on the coefficient vectors themselves, with no transform."""
+    if e.is_zero():
+        raise ZeroIdempotent("k profile of the zero element is undefined")
+    ring = e.ring
+    out = []
+    for t in range(ring.r):
+        rows = [e.vector()]
+        k = ring.lengths[t]
+        for m in range(1, ring.lengths[t]):
+            v = e.shift(t, m).vector()
+            if in_span(v, GfMatrix(ring.field, np.stack(rows))) is not None:
+                k = m
+                break
+            rows.append(v)
+        out.append(k)
+    return tuple(out)
+
+
+def two_branch_build_basis(e, K, kp):
+    """Oracle: the box basis {X^m e : m_t < k_t} in graded-lex order when
+    prod(k_t) = K, otherwise a greedy rank-building scan of the monomial
+    multiples of e."""
+    ring = e.ring
+    fld = ring.field
+    if math.prod(kp) == K:
+        exps = sorted(
+            (tuple(m) for m in np.ndindex(*kp)),
+            key=lambda m: (sum(m), tuple(-x for x in m)))
+        polys = [e.translate(m) for m in exps]
+        red = RowReducer(fld, ring.N)
+        for p in polys:
+            red.add(p.vector())
+        if red.rank != K:
+            raise RankDeficient(
+                f"box basis has rank {red.rank}, expected {K}")
+        return polys, BASIS_BOX
+    polys = []
+    red = RowReducer(fld, ring.N)
+    for m in ring.monomials:
+        cand = e.translate(m)
+        if red.add(cand.vector()):
+            polys.append(cand)
+        if red.rank == K:
+            return polys, BASIS_GREEDY
+    raise RankDeficient(
+        f"monomial multiples of e span rank {red.rank}, expected {K}")

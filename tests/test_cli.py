@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -93,6 +94,17 @@ def test_validation_exit_codes(capsys):
     code, _, err = run(capsys, "search", "--p", "3", "--lengths", "2,2",
                        "--K", "5")
     assert code == 5
+
+
+def test_out_of_range_field_and_ring_exit_2(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "construct", "--p", str(2 ** 61 - 1),
+                       "--lengths", "2", "--seeds", "(0)")
+    assert code == 2 and "outside supported range" in err
+    code, _, err = run(capsys, "construct", "--p", "3",
+                       "--lengths", ",".join(["2"] * 17), "--seeds", "")
+    assert code == 2 and "exceeds the limit" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_search_negative_top_rejected(capsys):

@@ -1,7 +1,13 @@
+import functools
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p
 
 from multicyclic import Field
 from multicyclic.errors import (
@@ -11,6 +17,7 @@ from multicyclic.errors import (
     OrderNotDividing,
     ReducibleModulus,
 )
+from multicyclic.gf import _is_irreducible
 
 from conftest import brute_field_mul
 
@@ -49,6 +56,14 @@ def test_degree_limits():
         Field(2, 17)
     with pytest.raises(DegreeTooLarge):
         Field(257, 2)  # 257^2 > 2^16
+
+
+def test_large_prime_rejected_before_trial_division():
+    # 2^61 - 1 is prime; trial division up to its square root never ends
+    start = time.perf_counter()
+    with pytest.raises(DegreeTooLarge):
+        Field(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reducible_modulus_rejected():
@@ -142,3 +157,51 @@ def test_array_ops_match_scalar(f9):
         for j in range(5):
             assert add[i, j] == f9.add(int(a[i, j]), int(b[i, j]))
             assert mul[i, j] == f9.mul(int(a[i, j]), int(b[i, j]))
+
+
+# fields past the exhaustive checks' q <= 64 cap, and one per kind below it
+AXIOM_FIELDS = [Field(2), Field(7), Field(257), Field(2, 3), Field(3, 2),
+                Field(2, 8), Field(3, 5), Field(5, 3), Field(7, 2)]
+
+
+@pytest.mark.parametrize("field", AXIOM_FIELDS, ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_field_axioms_against_brute_mul(field, data):
+    a, b, c = (data.draw(st.integers(0, field.q - 1)) for _ in range(3))
+    mul = functools.partial(brute_field_mul, field)
+    assert field.mul(a, b) == mul(a, b) == mul(b, a)
+    assert field.add(a, b) == field.add(b, a)
+    assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, field.add(b, c)) == field.add(mul(a, b), mul(a, c))
+    assert field.add(a, 0) == a and mul(a, 1) == a
+    assert field.add(a, field.neg(a)) == 0
+    assert field.sub(field.add(a, b), b) == a
+    if a:
+        assert mul(a, field.inv(a)) == 1
+
+
+def _sympy_irreducible(low_first, p):
+    return gf_irreducible_p([ZZ(c) for c in reversed(low_first)], p, ZZ)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_irreducible_matches_sympy(p):
+    for deg in range(1, 5):
+        for low in itertools.product(range(p), repeat=deg):
+            poly = list(low) + [1]
+            assert _is_irreducible(poly, p) == _sympy_irreducible(poly, p), poly
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2),
+                                 (3, 3), (3, 5), (5, 2), (5, 3), (7, 2),
+                                 (11, 2), (13, 2)])
+def test_default_modulus_matches_sympy(p, m):
+    # the smallest monic irreducible, reading the low coefficients as a
+    # base-p number with the constant term as the lowest digit
+    for low in range(p ** m):
+        cand = [(low // p ** i) % p for i in range(m)] + [1]
+        if _sympy_irreducible(cand, p):
+            break
+    assert Field(p, m).modulus == tuple(cand)

@@ -1,0 +1,57 @@
+"""The k profile read off the spectrum and the one-scan basis against the
+rank-scan oracles in conftest, on random defining sets and random
+non-idempotent elements over every ring of the family."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multicyclic import fourier_inverse, idempotent_from_set, k_profile, rank
+from multicyclic.codes import build_basis, generator_matrix
+from multicyclic.spectral import Spectrum
+
+from conftest import enumerate_rings, rank_scan_k_profile, two_branch_build_basis
+
+RINGS = enumerate_rings()
+IDS = [f"q{r.field.q}-{'x'.join(map(str, r.lengths))}" for r in RINGS]
+
+oracle_settings = settings(max_examples=5, deadline=None)
+
+
+def defining_sets(ring):
+    return st.lists(st.sampled_from(ring.monomials), min_size=1,
+                    max_size=ring.N, unique=True)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@oracle_settings
+@given(data=st.data())
+def test_k_profile_matches_rank_scan_oracle(ring, data):
+    S = data.draw(defining_sets(ring))
+    e = idempotent_from_set(ring, S)
+    assert k_profile(e) == rank_scan_k_profile(e)
+    # the same spectral support with arbitrary nonzero values: not idempotent
+    values = np.zeros(ring.lengths, dtype=np.int64)
+    for idx in S:
+        values[idx] = data.draw(st.integers(1, ring.field.q - 1))
+    f = fourier_inverse(Spectrum(ring, values))
+    assert k_profile(f) == rank_scan_k_profile(f)
+    # a random coefficient tensor
+    coeffs = data.draw(st.lists(st.integers(0, ring.field.q - 1),
+                                min_size=ring.N, max_size=ring.N))
+    g = ring.from_vector(coeffs)
+    if not g.is_zero():
+        assert k_profile(g) == rank_scan_k_profile(g)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@oracle_settings
+@given(data=st.data())
+def test_build_basis_matches_two_branch_oracle(ring, data):
+    S = data.draw(defining_sets(ring))
+    e = idempotent_from_set(ring, S)
+    kp = k_profile(e)
+    basis, kind = build_basis(e, len(S), kp)
+    assert (basis, kind) == two_branch_build_basis(e, len(S), kp)
+    assert rank(generator_matrix(basis, ring)) == len(S)

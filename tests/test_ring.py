@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from multicyclic.errors import (
     AxisOutOfRange,
     CtxMismatch,
     OrderNotDividing,
+    RingTooLarge,
 )
+from multicyclic.ring import MAX_N
 
 
 def test_ring_new_valid(ring3):
@@ -24,6 +27,16 @@ def test_ring_new_rejects_bad_axis(f3):
     with pytest.raises(OrderNotDividing) as err:
         Ring(f3, (2, 4, 2))
     assert "axis 2" in str(err.value)
+
+
+@pytest.mark.parametrize("r", [17, 64])
+def test_ring_size_cap(f3, r):
+    # 2^64 coefficients would wrap to 0 in a fixed-width product
+    start = time.perf_counter()
+    with pytest.raises(RingTooLarge) as err:
+        Ring(f3, (2,) * r)
+    assert str(2 ** r) in str(err.value) and str(MAX_N) in str(err.value)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ring_f5(f5):
