@@ -31,6 +31,9 @@ DEFAULT_BUDGET = 3_000_000
 # Field elements in one span table of min_distance: 8 MB of int64, so a
 # table plus the temporaries of one field addition stays in tens of MB.
 TABLE_LIMIT = 1 << 20
+# search constructs every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
+EXHAUSTIVE_LIMIT = 100_000
+SAMPLES = 10_000
 
 BASIS_BOX = "box"
 BASIS_GREEDY = "greedy"
@@ -190,7 +193,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
         return CodeRecord(
             ring=ring, defining_set=S, idempotent=e, n=n, K=0,
             k_profile=None, basis_kind=None,
-            generator=GfMatrix(ring.field, np.zeros((0, n), dtype=np.int64)),
+            generator=generator_matrix([], ring),
             d=None, product_bound=None, bound_applicable=None,
             singleton_bound=None)
     kp = k_profile(e)
@@ -229,8 +232,7 @@ def literal_monomial_sum(ring: Ring, representatives) -> Poly:
 # -- search over orbit selections ------------------------------------------
 
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
-           seed: int = 0, exhaustive_limit: int = 100_000,
-           samples: int = 10_000) -> list[CodeRecord]:
+           seed: int = 0) -> list[CodeRecord]:
     """All (or sampled) codes whose defining set is a union of orbits of
     total size K_target, ranked by exact distance descending; ties break
     toward the lexicographically smallest defining set.  Raises
@@ -247,12 +249,12 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
         raise BudgetExceeded(
             f"{q ** K_target} codewords exceed budget {budget}: "
             "candidates cannot be ranked")
-    if total <= exhaustive_limit:
+    if total <= EXHAUSTIVE_LIMIT:
         selections = itertools.combinations(range(len(orbs)), K_target)
     else:
         rng = random.Random(seed)
         selections = set()
-        while len(selections) < min(samples, total):
+        while len(selections) < min(SAMPLES, total):
             selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
     records = []
     for sel in selections:

@@ -211,15 +211,8 @@ class Field:
         return self._ret(out)
 
     def neg(self, a):
-        a = np.asarray(a)
-        if self.m == 1:
-            return self._ret((-a) % self.p)
-        p = self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        for i in range(self.m):
-            pi = p ** i
-            out += ((-(a // pi)) % p) * pi
-        return self._ret(out)
+        # the element p - 1 is the constant polynomial -1 in every GF(p^m)
+        return self.mul(a, self.p - 1)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

@@ -32,6 +32,8 @@ _VAR_NAMES_SHORT = ("x", "y", "z")
 # Largest number of coefficients N = prod(n_t); the sorted monomial list
 # alone is O(N) Python tuples.
 MAX_N = 1 << 16
+# Longest axis: its n_t x n_t transform tables hold <= 2^20 entries (8 MB).
+MAX_AXIS = 1 << 10
 
 
 class Ring:
@@ -48,6 +50,9 @@ class Ring:
         N = math.prod(lengths)
         if N > MAX_N:
             raise RingTooLarge(f"N = {N} coefficients exceeds the limit {MAX_N}")
+        if max(lengths) > MAX_AXIS:
+            raise RingTooLarge(
+                f"axis length {max(lengths)} exceeds the limit {MAX_AXIS}")
         self.field = field
         self.lengths = lengths
         self.r = len(lengths)
@@ -110,9 +115,7 @@ class Ring:
         return Poly(self, np.zeros(self.lengths, dtype=np.int64))
 
     def one(self) -> "Poly":
-        c = np.zeros(self.lengths, dtype=np.int64)
-        c[(0,) * self.r] = 1
-        return Poly(self, c)
+        return self.monomial((0,) * self.r)
 
     def monomial(self, exps, coeff: int = 1) -> "Poly":
         exps = tuple(exps)
@@ -190,12 +193,6 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         return Poly(self.ring, self.ring.field.mul(c, self.coeffs))
-
-    def shift(self, axis: int, power: int = 1) -> "Poly":
-        """Multiply by the monomial X_axis^power (cyclic coefficient shift)."""
-        if not 0 <= axis < self.ring.r:
-            raise AxisOutOfRange(f"axis {axis} not in [0, {self.ring.r})")
-        return Poly(self.ring, np.roll(self.coeffs, power, axis=axis))
 
     def translate(self, exps) -> "Poly":
         """Multiply by the monomial X^exps (shift along every axis)."""

@@ -57,40 +57,21 @@ def fourier_inverse(s: Spectrum) -> Poly:
 
 
 def theta(ring: Ring, axis: int, index: int) -> Poly:
-    """Univariate primitive idempotent (1/n_t) sum_m w_t^{-i m} X_t^m."""
+    """Univariate primitive idempotent (1/n_t) sum_m w_t^{-i m} X_t^m: the
+    idempotent of the hyperplane {j : j_t = i}."""
     if not 0 <= axis < ring.r:
         raise IndexOutOfRange(f"axis {axis} not in [0, {ring.r})")
     n = ring.lengths[axis]
     if not 0 <= index < n:
         raise IndexOutOfRange(f"index {index} not in [0, {n})")
-    fld = ring.field
-    n_inv = fld.inv(n % fld.p)
-    coeffs = np.zeros(ring.lengths, dtype=np.int64)
-    sl = [0] * ring.r
-    for m in range(n):
-        sl[axis] = m
-        coeffs[tuple(sl)] = fld.mul(n_inv, fld.pow(ring.roots[axis], -index * m))
-    return Poly(ring, coeffs)
+    return idempotent_from_set(
+        ring, (j for j in ring.monomials if j[axis] == index))
 
 
 def primitive_idempotent(ring: Ring, index) -> Poly:
-    """r-dimensional primitive idempotent: the tensor product of the
-    univariate ones, with closed form (1/N) sum_m prod_t w_t^{-i_t m_t} X^m."""
-    index = tuple(index)
-    if not ring.in_box(index):
-        raise IndexOutOfRange(f"index {index} outside box {ring.lengths}")
-    fld = ring.field
-    n_inv = fld.inv(ring.N % fld.p)
-    # outer product of per-axis character vectors
-    acc = np.array([n_inv], dtype=np.int64).reshape((1,) * ring.r)
-    for t in range(ring.r):
-        col = np.array(
-            [fld.pow(ring.roots[t], -index[t] * m) for m in range(ring.lengths[t])],
-            dtype=np.int64)
-        shape = [1] * ring.r
-        shape[t] = ring.lengths[t]
-        acc = np.asarray(fld.mul(acc, col.reshape(shape)))
-    return Poly(ring, np.broadcast_to(acc, ring.lengths))
+    """Tensor product of the univariate primitive idempotents, with closed
+    form (1/N) sum_m prod_t w_t^{-i_t m_t} X^m: the idempotent of {index}."""
+    return idempotent_from_set(ring, [index])
 
 
 def idempotent_from_set(ring: Ring, indices) -> Poly:

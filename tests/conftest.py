@@ -9,6 +9,7 @@ from multicyclic import Field, Ring, fourier, fourier_inverse
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
 from multicyclic.errors import BudgetExceeded, RankDeficient, ZeroIdempotent
 from multicyclic.linalg import GfMatrix, RowReducer, in_span
+from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
 
 
@@ -56,6 +57,11 @@ def enumerate_rings(qs=(3, 5, 7, 8, 9), max_r=3, max_N=64):
                 if np.prod(tup) <= max_N:
                     out.append(Ring(fields[q], tup))
     return out
+
+
+def one_hot(ring, axis, power=1):
+    """Exponent tuple of the monomial X_axis^power."""
+    return tuple(power if t == axis else 0 for t in range(ring.r))
 
 
 def brute_field_mul(field, a, b):
@@ -146,6 +152,36 @@ def schoolbook_mul(a, b):
     return ring.from_vector(vec)
 
 
+def closed_form_theta(ring, axis, index):
+    """Independent oracle: the univariate primitive idempotent
+    (1/n_t) sum_m w_t^{-i m} X_t^m, coefficient by coefficient."""
+    fld = ring.field
+    n = ring.lengths[axis]
+    n_inv = fld.inv(n % fld.p)
+    coeffs = np.zeros(ring.lengths, dtype=np.int64)
+    sl = [0] * ring.r
+    for m in range(n):
+        sl[axis] = m
+        coeffs[tuple(sl)] = fld.mul(n_inv, fld.pow(ring.roots[axis], -index * m))
+    return Poly(ring, coeffs)
+
+
+def closed_form_primitive_idempotent(ring, index):
+    """Independent oracle: (1/N) sum_m prod_t w_t^{-i_t m_t} X^m as an
+    outer product of per-axis character vectors."""
+    fld = ring.field
+    n_inv = fld.inv(ring.N % fld.p)
+    acc = np.array([n_inv], dtype=np.int64).reshape((1,) * ring.r)
+    for t in range(ring.r):
+        col = np.array(
+            [fld.pow(ring.roots[t], -index[t] * m) for m in range(ring.lengths[t])],
+            dtype=np.int64)
+        shape = [1] * ring.r
+        shape[t] = ring.lengths[t]
+        acc = np.asarray(fld.mul(acc, col.reshape(shape)))
+    return Poly(ring, np.broadcast_to(acc, ring.lengths))
+
+
 def spectral_codewords(ring, S):
     """Independent oracle for the code defined by spectral support S:
     every inverse transform of a spectrum supported inside S."""
@@ -201,7 +237,7 @@ def rank_scan_k_profile(e):
         rows = [e.vector()]
         k = ring.lengths[t]
         for m in range(1, ring.lengths[t]):
-            v = e.shift(t, m).vector()
+            v = e.translate(one_hot(ring, t, m)).vector()
             if in_span(v, GfMatrix(ring.field, np.stack(rows))) is not None:
                 k = m
                 break

@@ -24,7 +24,7 @@ from multicyclic import (
     search,
 )
 
-from conftest import enumerate_rings
+from conftest import enumerate_rings, one_hot
 
 REFERENCE_SEEDS_K3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 REFERENCE_SEEDS_K4 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
@@ -183,5 +183,6 @@ def test_criterion_9_ideal_closure():
         for row in rec.generator.array:
             f = ring.from_vector(row)
             for t in range(ring.r):
-                assert in_span(f.shift(t, 1).vector(), rec.generator) is not None
+                g = f.translate(one_hot(ring, t))
+                assert in_span(g.vector(), rec.generator) is not None
     report("9 (ideal closure under all cyclic shifts, 50 codes)", start, 60)

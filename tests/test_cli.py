@@ -104,6 +104,10 @@ def test_out_of_range_field_and_ring_exit_2(capsys):
     code, _, err = run(capsys, "construct", "--p", "3",
                        "--lengths", ",".join(["2"] * 17), "--seeds", "")
     assert code == 2 and "exceeds the limit" in err
+    # one long axis: its transform tables alone would need 32 GiB
+    code, _, err = run(capsys, "construct", "--p", "65521",
+                       "--lengths", "65520", "--seeds", "(0);(1)")
+    assert code == 2 and "axis length 65520 exceeds the limit 1024" in err
     assert time.perf_counter() - start < 1.0
 
 

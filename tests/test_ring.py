@@ -12,7 +12,9 @@ from multicyclic.errors import (
     OrderNotDividing,
     RingTooLarge,
 )
-from multicyclic.ring import MAX_N
+from multicyclic.ring import MAX_AXIS, MAX_N
+
+from conftest import one_hot
 
 
 def test_ring_new_valid(ring3):
@@ -37,6 +39,22 @@ def test_ring_size_cap(f3, r):
         Ring(f3, (2,) * r)
     assert str(2 ** r) in str(err.value) and str(MAX_N) in str(err.value)
     assert time.perf_counter() - start < 1.0
+
+
+def test_ring_axis_cap():
+    # a 65520 x 65520 axis table would need 32 GiB; the check comes before
+    # any table is built
+    start = time.perf_counter()
+    with pytest.raises(RingTooLarge) as err:
+        Ring(Field(65521), (65520,))
+    assert "65520" in str(err.value) and str(MAX_AXIS) in str(err.value)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ring_longest_axis_constructs():
+    from multicyclic import construct
+    ring = Ring(Field(12289), (MAX_AXIS,))
+    assert construct(ring, [(0,), (1,)]).params() == "[1024, 2, ?]_12289"
 
 
 def test_ring_f5(f5):
@@ -129,10 +147,10 @@ def test_shift_full_cycle_is_identity(ring3, f5):
     for ring in (ring3, Ring(f5, (4, 2))):
         f = ring.random_poly(rng)
         for t in range(ring.r):
-            assert f.shift(t, ring.lengths[t]) == f
+            assert f.translate(one_hot(ring, t, ring.lengths[t])) == f
             g = f
             for _ in range(ring.lengths[t]):
-                g = g.shift(t, 1)
+                g = g.translate(one_hot(ring, t))
             assert g == f
 
 
@@ -143,21 +161,22 @@ def test_shift_matches_monomial_mul(ring3, f9):
             f = ring.random_poly(rng)
             t = rng.randrange(ring.r)
             k = rng.randrange(ring.lengths[t])
-            exps = [0] * ring.r
-            exps[t] = k
-            assert f.shift(t, k) == f * ring.monomial(exps)
+            exps = one_hot(ring, t, k)
+            assert f.translate(exps) == f * ring.monomial(exps)
 
 
 def test_shift_axis_bounds(ring3):
+    with pytest.raises(ArityMismatch):
+        ring3.one().translate((0, 0, 0, 1))
     with pytest.raises(AxisOutOfRange):
-        ring3.one().shift(3, 1)
+        ring3.monomial((0, 0, 2))
 
 
 def test_shift_of_reference_idempotent(ring3):
     # shifting e along x reproduces the second generator-matrix row
     from multicyclic import construct
     rec = construct(ring3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    shifted = rec.idempotent.shift(0, 1)
+    shifted = rec.idempotent.translate((1, 0, 0))
     assert shifted.vector().tolist() == [2, 0, 1, 2, 2, 0, 1, 2]
 
 
@@ -167,7 +186,7 @@ def test_degenerate_axis(f3):
     rng = random.Random(6)
     a, b = r.random_poly(rng), r.random_poly(rng)
     assert a * b == b * a
-    assert a.shift(1, 1) == a  # X_2 = 1
+    assert a.translate((0, 1)) == a  # X_2 = 1
 
 
 def test_str_canonical(ring3):

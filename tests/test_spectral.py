@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicyclic import (
     Field,
@@ -14,8 +16,13 @@ from multicyclic import (
     theta,
 )
 from multicyclic.errors import IndexOutOfRange
-from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
+
+from conftest import (
+    closed_form_primitive_idempotent,
+    closed_form_theta,
+    enumerate_rings,
+)
 
 REFERENCE_SET = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 
@@ -135,3 +142,38 @@ def test_idempotence_and_orthogonality_exhaustive(f3, f5):
 def test_from_set_bounds(ring3):
     with pytest.raises(IndexOutOfRange):
         idempotent_from_set(ring3, [(0, 0, 2)])
+
+
+RINGS = enumerate_rings()
+IDS = [f"q{r.field.q}-{'x'.join(map(str, r.lengths))}" for r in RINGS]
+
+
+def index_sets(ring):
+    return st.lists(st.sampled_from(ring.monomials), max_size=ring.N,
+                    unique=True).map(set)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+def test_idempotents_match_closed_forms_at_every_index(ring):
+    for t, n in enumerate(ring.lengths):
+        for i in range(n):
+            assert theta(ring, t, i) == closed_form_theta(ring, t, i)
+    for idx in ring.monomials:
+        assert (primitive_idempotent(ring, idx)
+                == closed_form_primitive_idempotent(ring, idx))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_set_idempotents_multiply_as_indicators(ring, data):
+    S, T = data.draw(index_sets(ring)), data.draw(index_sets(ring))
+    eS, eT = idempotent_from_set(ring, S), idempotent_from_set(ring, T)
+    assert eS * eS == eS
+    assert eS * eT == idempotent_from_set(ring, S & T)
+    assert eS + eT - eS * eT == idempotent_from_set(ring, S | T)
+    # e_S is the sum of the closed-form primitive idempotents over S
+    total = ring.zero()
+    for idx in S:
+        total = total + closed_form_primitive_idempotent(ring, idx)
+    assert eS == total
