@@ -3,6 +3,7 @@ primitive idempotents and cyclotomic orbits."""
 
 from .codes import (
     CodeRecord,
+    SearchRow,
     construct,
     k_profile,
     min_distance,
@@ -32,7 +33,7 @@ from .spectral import (
 
 __all__ = [
     "CodeRecord", "DefiningSet", "Field", "GfMatrix", "Orbit", "Poly",
-    "Ring", "Spectrum", "all_orbits", "closure", "combinatorial_form",
+    "Ring", "SearchRow", "Spectrum", "all_orbits", "closure", "combinatorial_form",
     "construct", "fourier", "fourier_inverse", "frobenius",
     "idempotent_from_set", "in_span", "k_profile", "min_distance",
     "orbit_of", "primitive_idempotent", "product_bound", "rank", "rref",

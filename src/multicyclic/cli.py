@@ -307,8 +307,15 @@ def cmd_search(args) -> int:
         print(f"error: --top must be 0 or more, got {args.top}", file=sys.stderr)
         return EXIT_VALIDATION
     ring = _build_ring(args)
-    records = search(ring, args.K, budget=args.budget, seed=args.seed)
-    top = records[:args.top] if args.top else records
+    rows = search(ring, args.K, budget=args.budget, seed=args.seed)
+    top = []
+    for row in rows[:args.top] if args.top else rows:
+        rec = construct(ring, row.defining_set.sorted(), budget=args.budget)
+        if rec.d != row.d:
+            raise MulticyclicError(f"search ranked d = {row.d}, but the code "
+                                   f"of {row.defining_set.sorted()} has d = {rec.d}")
+        readback_check(rec)
+        top.append(rec)
     if args.format == "json":
         print(json.dumps([record_to_dict(r) for r in top], indent=2))
     elif args.format == "csv":
@@ -317,13 +324,11 @@ def cmd_search(args) -> int:
             print(f"{format_defining_set(r.defining_set)},{r.K},{r.d},"
                   f"{r.product_bound},{r.bound_applicable},{r.singleton_bound}")
     else:
-        print(f"search over {ring!r}, K = {args.K}: {len(records)} candidates")
+        print(f"search over {ring!r}, K = {args.K}: {len(rows)} candidates")
         for r in top:
             print(f"  d={r.d}  T={format_defining_set(r.defining_set)}  "
                   f"bound={r.product_bound}"
                   f"{' (applicable)' if r.bound_applicable else ''}")
-    for r in top:
-        readback_check(r)
     return 0
 
 

@@ -46,13 +46,13 @@ class CodeRecord:
     idempotent: Poly
     n: int
     K: int
-    k_profile: Optional[tuple]
-    basis_kind: Optional[str]
     generator: GfMatrix
-    d: Optional[int]
-    product_bound: Optional[int]
-    bound_applicable: Optional[bool]
-    singleton_bound: Optional[int]
+    k_profile: Optional[tuple] = None
+    basis_kind: Optional[str] = None
+    d: Optional[int] = None
+    product_bound: Optional[int] = None
+    bound_applicable: Optional[bool] = None
+    singleton_bound: Optional[int] = None
 
     def params(self) -> str:
         d = self.d if self.d is not None else "?"
@@ -96,9 +96,8 @@ def build_basis(e: Poly, K: int, kp: tuple):
 
 def generator_matrix(basis, ring: Ring) -> GfMatrix:
     """Rows are basis-polynomial coefficient vectors in monomial order."""
-    if not basis:
-        return GfMatrix(ring.field, np.zeros((0, ring.N), dtype=np.int64))
-    return GfMatrix(ring.field, np.stack([p.vector() for p in basis]))
+    rows = np.array([p.vector() for p in basis], dtype=np.int64)
+    return GfMatrix(ring.field, rows.reshape(-1, ring.N))
 
 
 def _projective_codewords(fld, rows):
@@ -108,12 +107,23 @@ def _projective_codewords(fld, rows):
     dependent).
 
     The span of the leading rows is built level by level in a table of at
-    most TABLE_LIMIT elements (or one level of q rows, if that is larger);
-    the codewords of the remaining rows come from the same enumeration
-    applied to them, each added as an offset to the whole table.
+    most TABLE_LIMIT elements (if one level is larger, the multiples of the
+    first row are formed in chunks, again for each offset); the codewords
+    of the remaining rows come from the same enumeration applied to them,
+    each added as an offset to the whole table.
     """
     k, n = rows.shape
     q = fld.q
+    if q * n > TABLE_LIMIT:
+        step = max(1, TABLE_LIMIT // n)
+        yield rows[:1]
+        if k > 1:
+            scalars = np.arange(q, dtype=np.int64)[:, None]
+            for offsets in _projective_codewords(fld, rows[1:]):
+                for v in offsets:
+                    for a in range(0, q, step):
+                        yield fld.add(fld.mul(scalars[a:a + step], rows[0]), v)
+        return
     inner = 1
     while inner < k and q ** (inner + 1) * n <= TABLE_LIMIT:
         inner += 1
@@ -190,12 +200,8 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     e = idempotent_from_set(ring, S)
     n = ring.N
     if K == 0:
-        return CodeRecord(
-            ring=ring, defining_set=S, idempotent=e, n=n, K=0,
-            k_profile=None, basis_kind=None,
-            generator=generator_matrix([], ring),
-            d=None, product_bound=None, bound_applicable=None,
-            singleton_bound=None)
+        return CodeRecord(ring=ring, defining_set=S, idempotent=e, n=n, K=0,
+                          generator=generator_matrix([], ring))
     kp = k_profile(e)
     basis, kind = build_basis(e, K, kp)
     G = generator_matrix(basis, ring)
@@ -231,13 +237,28 @@ def literal_monomial_sum(ring: Ring, representatives) -> Poly:
 
 # -- search over orbit selections ------------------------------------------
 
+@dataclass(frozen=True)
+class SearchRow:
+    defining_set: DefiningSet
+    K: int
+    d: int
+
+
+def translation_key(S, lengths) -> tuple:
+    """The least translate of S, sorted, coordinates mod n_t.  It puts some
+    s in S at the origin, so the K translates S - s are enough."""
+    return min(tuple(sorted(tuple((i - j) % n for i, j, n in zip(x, s, lengths))
+                            for x in S)) for s in S)
+
+
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
-           seed: int = 0) -> list[CodeRecord]:
-    """All (or sampled) codes whose defining set is a union of orbits of
-    total size K_target, ranked by exact distance descending; ties break
-    toward the lexicographically smallest defining set.  Raises
-    BudgetExceeded before constructing any candidate when q^K_target
-    exceeds the budget, since the candidates could not be ranked."""
+           seed: int = 0) -> list[SearchRow]:
+    """All (or sampled) unions of orbits of total size K_target, ranked by
+    exact distance descending, ties toward the lexicographically smallest
+    defining set.  A translate S + a multiplies every codeword by a
+    character, so `construct` runs once per `translation_key` (O(K^2 log K)
+    per candidate, sampled or not) and every candidate gets its class's d.
+    Raises BudgetExceeded, constructing nothing, when q^K_target > budget."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
     # n_t | q-1 makes every orbit a singleton, so the candidates are the
@@ -256,9 +277,12 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
         selections = set()
         while len(selections) < min(SAMPLES, total):
             selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
-    records = []
+    class_d, rows = {}, []
     for sel in selections:
-        seeds = [orbs[i].representative for i in sel]
-        records.append(construct(ring, seeds, budget=budget))
-    records.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
-    return records
+        S = DefiningSet(frozenset(m for i in sel for m in orbs[i].members))
+        key = translation_key(S, ring.lengths)
+        if key not in class_d:
+            class_d[key] = construct(ring, S.sorted(), budget=budget).d
+        rows.append(SearchRow(S, len(S), class_d[key]))
+    rows.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
+    return rows

@@ -1,13 +1,20 @@
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
-from multicyclic import Field, Ring, fourier, fourier_inverse
+from multicyclic import Field, Ring, codes, construct, fourier, fourier_inverse
+from multicyclic import orbits as orb_mod
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
-from multicyclic.errors import BudgetExceeded, RankDeficient, ZeroIdempotent
+from multicyclic.errors import (
+    BudgetExceeded,
+    Infeasible,
+    RankDeficient,
+    ZeroIdempotent,
+)
 from multicyclic.linalg import GfMatrix, RowReducer, in_span
 from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
@@ -274,3 +281,34 @@ def two_branch_build_basis(e, K, kp):
             return polys, BASIS_GREEDY
     raise RankDeficient(
         f"monomial multiples of e span rank {red.rank}, expected {K}")
+
+
+def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
+                                     seed=0):
+    """Oracle: the same candidates as `codes.search`, each one built and
+    measured by `construct`, ranked by d descending and then by the
+    lexicographically smallest defining set."""
+    if not 1 <= K_target <= ring.N:
+        raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
+    # n_t | q-1 makes every orbit a singleton, so the candidates are the
+    # K_target-subsets of the orbits
+    orbs = orb_mod.all_orbits(ring.lengths, ring.field.q)
+    total = math.comb(len(orbs), K_target)
+    q = ring.field.q
+    if q ** K_target > budget:
+        raise BudgetExceeded(
+            f"{q ** K_target} codewords exceed budget {budget}: "
+            "candidates cannot be ranked")
+    if total <= codes.EXHAUSTIVE_LIMIT:
+        selections = itertools.combinations(range(len(orbs)), K_target)
+    else:
+        rng = random.Random(seed)
+        selections = set()
+        while len(selections) < min(codes.SAMPLES, total):
+            selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
+    records = []
+    for sel in selections:
+        seeds = [orbs[i].representative for i in sel]
+        records.append(construct(ring, seeds, budget=budget))
+    records.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
+    return records

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import time
 
 import pytest
 
+from multicyclic import cli
 from multicyclic.cli import format_defining_set, main, parse_seeds
+from multicyclic.codes import SearchRow
+from multicyclic.errors import MulticyclicError
 
 
 def run(capsys, *argv):
@@ -180,3 +184,69 @@ def test_format_defining_set(ring3):
     from multicyclic import closure
     S = closure([(1, 0, 0), (0, 0, 0)], (2, 2, 2), 3)
     assert format_defining_set(S) == "(0,0,0);(1,0,0)"
+
+
+# sha256 of `search` stdout, taken from the per-candidate search that
+# constructed every candidate
+SEARCH_STDOUT_SHA256 = {
+    ("3", "2,2,2", "3", "text", "10"): "0f3ff630881010e7d315a8d1fd42f1759a68bc60505dab526785ab9c285bec38",
+    ("3", "2,2,2", "3", "text", "0"): "b243f6633f8136da66cb82f0dfe09145356199ecc60290f52e901a28aa166580",
+    ("3", "2,2,2", "3", "json", "10"): "35d3b9fbdff604169762cc4b5204c85fcb850c7a76a78e5df5ad77b256ae3d25",
+    ("3", "2,2,2", "3", "json", "0"): "503cb8e2c4ffec1f0eea4ce4fcb92f335c5c7675f7a2705b618860f11d9f606f",
+    ("3", "2,2,2", "3", "csv", "10"): "56e12afb8a52e5db8994017efb991de8cbc8a38a3be5c973484c814f5b1492e9",
+    ("3", "2,2,2", "3", "csv", "0"): "2688e600da2fcee47a712006a2ae74baa4f73085d0f4d9e52eba511c02a89fea",
+    ("5", "4,2", "4", "text", "10"): "dc614badf476e07096a61f5c9d2f15fa01db224ab3f467b6f107409328934cc8",
+    ("5", "4,2", "4", "text", "0"): "25f80648ddc12032a1e1589c7d78d9bb407d7398873346fb94a0307c003e640a",
+    ("5", "4,2", "4", "json", "10"): "f7521aac6d0b3a77506954d35b0371dd5bc2fab604ce9743e114fccf20ac3074",
+    ("5", "4,2", "4", "json", "0"): "3174b6c0d49943f726a4bc3d1ca49bf9332599600aee296860f105149c1330cb",
+    ("5", "4,2", "4", "csv", "10"): "15363db8a3e81f85c102216d043dc1d24f7d1195a195555292ee9ad0cf95c2fe",
+    ("5", "4,2", "4", "csv", "0"): "ce188bbcbf8d9e25230afd259a90ce8f0bc5f5db20c326701b3035cec95ac76b",
+}
+
+
+@pytest.mark.parametrize("p, lengths, K, fmt, top", SEARCH_STDOUT_SHA256)
+def test_search_stdout_pinned(capsys, p, lengths, K, fmt, top):
+    code, out, _ = run(capsys, "search", "--p", p, "--lengths", lengths,
+                       "--K", K, "--format", fmt, "--top", top)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SEARCH_STDOUT_SHA256[p, lengths, K, fmt, top]
+
+
+def test_search_constructs_only_printed_rows(capsys, monkeypatch):
+    built = []
+    real = cli.construct
+
+    def counting(ring, seeds, budget):
+        built.append(seeds)
+        return real(ring, seeds, budget=budget)
+
+    monkeypatch.setattr(cli, "construct", counting)
+    code, out, _ = run(capsys, "search", "--p", "5", "--lengths", "4,2",
+                       "--K", "4", "--top", "3")
+    assert code == 0 and "70 candidates" in out
+    assert len(built) == 3
+
+
+def test_search_readback_failure_prints_nothing(capsys, monkeypatch):
+    def fail(rec):
+        raise MulticyclicError("read-back: rank mismatch")
+    monkeypatch.setattr(cli, "readback_check", fail)
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
+                             "--K", "3", "--format", fmt)
+        assert code == 2 and out == ""
+        assert "read-back" in err
+
+
+def test_search_distance_mismatch_exits_2(capsys, monkeypatch):
+    real = cli.search
+
+    def off_by_one(ring, K, budget, seed):
+        return [SearchRow(r.defining_set, r.K, r.d + 1)
+                for r in real(ring, K, budget=budget, seed=seed)]
+    monkeypatch.setattr(cli, "search", off_by_one)
+    code, out, err = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
+                         "--K", "3")
+    assert code == 2 and out == ""
+    assert "d = 5" in err and "d = 4" in err

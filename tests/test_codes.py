@@ -206,6 +206,23 @@ def test_min_distance_past_the_table_limit_in_bounded_memory():
     assert d == exhaustive_min_distance(G)
 
 
+def test_min_distance_level_over_the_table_limit_in_bounded_memory():
+    # one level of q multiples is 257 x 65,536 elements, 16 times the
+    # table limit, so it is formed in chunks
+    ring = Ring(Field(257), (256, 256))
+    G = construct(ring, [(0, 0), (1, 0)], budget=0).generator
+    assert 257 * ring.N > codes.TABLE_LIMIT
+    tracemalloc.start()
+    try:
+        d = min_distance(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    # the code is the tensor product of a [256, 2, 255] and a [256, 1, 256]
+    assert d == 255 * 256 == 65_280
+
+
 def test_bound_violation_raises(ring3, monkeypatch):
     monkeypatch.setattr(codes, "min_distance", lambda G, budget: G.cols)
     with pytest.raises(BoundViolated, match="Singleton"):

@@ -1,0 +1,118 @@
+"""`search` builds one code per translation class: translations keep d,
+the class key groups exactly the translates, and the ranked rows equal
+the per-candidate oracle in conftest on every small ring of the family."""
+
+import dataclasses
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multicyclic import DefiningSet, SearchRow, codes, construct, search
+from multicyclic.codes import DEFAULT_BUDGET, translation_key
+
+from conftest import (
+    construct_every_candidate_search,
+    enumerate_rings,
+    exhaustive_min_distance,
+)
+
+RINGS = enumerate_rings()
+IDS = [f"q{r.field.q}-{'x'.join(map(str, r.lengths))}" for r in RINGS]
+
+# the oracle constructs every candidate, so keep each comparison small
+ORACLE_CANDIDATES = 300
+# exhaustive_min_distance forms every one of the q^K codewords
+EXHAUSTIVE_CODEWORDS = 3_000
+
+
+def translate(S, a, lengths):
+    return [tuple((i + s) % n for i, s, n in zip(idx, a, lengths)) for idx in S]
+
+
+def ranked(rows):
+    return [(r.d, r.defining_set.sorted()) for r in rows]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_translation_keeps_distance(ring, data):
+    q = ring.field.q
+    K_max = max(k for k in range(1, ring.N + 1) if q ** k <= EXHAUSTIVE_CODEWORDS)
+    S = data.draw(st.lists(st.sampled_from(ring.monomials), min_size=1,
+                           max_size=K_max, unique=True))
+    a = tuple(data.draw(st.integers(0, n - 1)) for n in ring.lengths)
+    moved = translate(S, a, ring.lengths)
+    G = construct(ring, S, budget=0).generator
+    H = construct(ring, moved, budget=0).generator
+    assert exhaustive_min_distance(G) == exhaustive_min_distance(H)
+    assert translation_key(S, ring.lengths) == translation_key(moved, ring.lengths)
+
+
+def test_translation_key_separates_classes():
+    # on length 4 the translates of {0, 1} are {1, 2}, {2, 3} and {0, 3}
+    lengths = (4,)
+    key = translation_key([(0,), (1,)], lengths)
+    assert key == ((0,), (1,))
+    assert translation_key([(0,), (3,)], lengths) == key
+    assert translation_key([(2,), (0,)], lengths) != key
+    # every K-subset's class under all translations, formed independently
+    for lengths, K in (((2, 2, 2), 3), ((4, 2), 3), ((3, 2), 2), ((6,), 3)):
+        box = list(itertools.product(*(range(n) for n in lengths)))
+        classes = {}
+        for S in itertools.combinations(box, K):
+            orbit = frozenset(frozenset(translate(S, a, lengths)) for a in box)
+            classes.setdefault(orbit, set()).add(translation_key(S, lengths))
+        assert all(len(keys) == 1 for keys in classes.values())
+        assert len({k for keys in classes.values() for k in keys}) == len(classes)
+
+
+def _oracle_cases():
+    for ring in RINGS:
+        for K in range(1, ring.N + 1):
+            if (math.comb(ring.N, K) <= ORACLE_CANDIDATES
+                    and ring.field.q ** K <= DEFAULT_BUDGET):
+                yield pytest.param(ring, K, id=f"{IDS[RINGS.index(ring)]}-K{K}")
+
+
+@pytest.mark.parametrize("ring, K", _oracle_cases())
+def test_search_matches_every_candidate_oracle(ring, K):
+    rows = search(ring, K)
+    assert ranked(rows) == ranked(construct_every_candidate_search(ring, K))
+    assert all(r.K == K for r in rows)
+
+
+def test_sampled_search_matches_oracle(ring3, monkeypatch):
+    monkeypatch.setattr(codes, "EXHAUSTIVE_LIMIT", 10)
+    monkeypatch.setattr(codes, "SAMPLES", 30)
+    for K in (3, 4, 5):
+        rows = search(ring3, K, seed=K)
+        assert len(rows) == 30
+        assert ranked(rows) == ranked(
+            construct_every_candidate_search(ring3, K, seed=K))
+
+
+def test_search_constructs_one_code_per_class(ring3, monkeypatch):
+    built = []
+
+    def counting(ring, seeds, budget=DEFAULT_BUDGET):
+        built.append(sorted(seeds))
+        return construct(ring, seeds, budget=budget)
+
+    monkeypatch.setattr(codes, "construct", counting)
+    rows = search(ring3, 3)
+    assert len(rows) == 56
+    # the 56 3-subsets of the 2x2x2 box fall into 7 translation classes
+    assert len(built) == 7
+    assert len({translation_key(S, ring3.lengths) for S in built}) == 7
+
+
+def test_search_rows_are_frozen(ring3):
+    row = search(ring3, 3)[0]
+    assert row == SearchRow(
+        DefiningSet(frozenset([(0, 0, 0), (0, 0, 1), (0, 1, 0)])), 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.d = 5
