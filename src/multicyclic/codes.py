@@ -29,7 +29,7 @@ from .spectral import fourier, idempotent_from_set
 
 DEFAULT_BUDGET = 3_000_000
 # Field elements in one span table of min_distance: 8 MB of int64, so a
-# table plus the temporaries of one field addition stays in tens of MB.
+# table plus the boolean mask of one comparison stays near 10 MB.
 TABLE_LIMIT = 1 << 20
 # search constructs every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
 EXHAUSTIVE_LIMIT = 100_000
@@ -101,28 +101,29 @@ def generator_matrix(basis, ring: Ring) -> GfMatrix:
 
 
 def _projective_codewords(fld, rows):
-    """Yield arrays whose rows, taken together, are g_j + c for every row
-    g_j and every c in the span of the rows before it: one nonzero
-    multiple of each nonzero codeword (with multiplicity when rows are
-    dependent).
+    """Yield pairs (T, v) whose differences t - v, over the rows t of T and
+    all pairs, are one nonzero multiple of each nonzero codeword (with
+    multiplicity when rows are dependent): g_j + c or its negative, for
+    every row g_j and every c in the span of the rows before it (a span
+    table is closed under negation).
 
     The span of the leading rows is built level by level in a table of at
     most TABLE_LIMIT elements (if one level is larger, the multiples of the
     first row are formed in chunks, again for each offset); the codewords
     of the remaining rows come from the same enumeration applied to them,
-    each added as an offset to the whole table.
+    and each is formed once, as an offset v paired with the whole table.
     """
     k, n = rows.shape
     q = fld.q
     if q * n > TABLE_LIMIT:
         step = max(1, TABLE_LIMIT // n)
-        yield rows[:1]
+        yield rows[:1], np.zeros(n, dtype=np.int64)
         if k > 1:
             scalars = np.arange(q, dtype=np.int64)[:, None]
-            for offsets in _projective_codewords(fld, rows[1:]):
-                for v in offsets:
+            for T, u in _projective_codewords(fld, rows[1:]):
+                for v in fld.sub(T, u):
                     for a in range(0, q, step):
-                        yield fld.add(fld.mul(scalars[a:a + step], rows[0]), v)
+                        yield fld.mul(scalars[a:a + step], rows[0]), v
         return
     inner = 1
     while inner < k and q ** (inner + 1) * n <= TABLE_LIMIT:
@@ -130,14 +131,14 @@ def _projective_codewords(fld, rows):
     scalars = np.arange(q, dtype=np.int64)[:, None, None]
     table = np.zeros((1, n), dtype=np.int64)
     for j in range(inner):
-        yield fld.add(table, rows[j])
+        yield table, rows[j]
         if j + 1 < k:
             multiples = fld.mul(scalars, rows[j])
             table = fld.add(multiples, table).reshape(-1, n)
     if inner < k:
-        for offsets in _projective_codewords(fld, rows[inner:]):
-            for v in offsets:
-                yield fld.add(table, v)
+        for T, u in _projective_codewords(fld, rows[inner:]):
+            for v in fld.sub(T, u):
+                yield table, v
 
 
 def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
@@ -145,9 +146,10 @@ def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
 
     Exact, by projective enumeration: every nonzero codeword is a nonzero
     scalar times one whose message has last nonzero coordinate 1, so only
-    those (q^K - 1)/(q - 1) codewords are formed, each by one vector of
-    field additions.  The budget still bounds q^K.  Dependent rows give 0,
-    the weight of the zero codeword they produce.
+    (q^K - 1)/(q - 1) codewords t - v are weighed, each by comparing a
+    span-table row t with an offset v, never by field additions.  The
+    budget still bounds q^K.  Dependent rows give 0, the weight of the
+    zero codeword they produce.
     """
     fld = G.field
     q, K = fld.q, G.rows
@@ -157,8 +159,8 @@ def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
     if K == 0:
         raise ZeroIdempotent("zero code has no nonzero codewords")
     best = G.cols
-    for cw in _projective_codewords(fld, G.array):
-        best = min(best, int(np.count_nonzero(cw, axis=1).min()))
+    for T, v in _projective_codewords(fld, G.array):
+        best = min(best, int(np.count_nonzero(T != v, axis=1).min()))
         if best <= 1:
             # weight 1 ends the search unless dependent rows still hold
             # a zero codeword further on

@@ -3,8 +3,8 @@
 Elements are canonical integers in [0, q): the base-p encoding of the
 polynomial representation.  Prime fields (m = 1) use direct modular
 arithmetic; extension fields multiply through log/antilog tables built
-once per field.  All public operations accept plain ints or numpy
-integer arrays and are pure.
+once per field, and characteristic 2 adds by XOR.  Public operations take
+plain ints or numpy integer arrays, give an int for scalars, and are pure.
 """
 
 from __future__ import annotations
@@ -109,22 +109,20 @@ class Field:
         self.p = p
         self.m = m
         self.q = p ** m
+        mod = tuple(int(c) % p for c in modulus) if modulus else None
+        if mod is not None:
+            if len(mod) != m + 1 or mod[-1] != 1:
+                raise ReducibleModulus(f"modulus must be monic of degree {m}")
+            if not _is_irreducible(mod, p):
+                raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
         if m == 1:
+            # every monic modulus of degree 1 gives the same GF(p)
             self.modulus = ()
             self._exp = None
             self._log = None
             self.generator = self._find_generator(lambda a, b: (a * b) % p)
         else:
-            mod = tuple(int(c) % p for c in modulus) if modulus else None
-            if mod is not None:
-                if len(mod) != m + 1 or mod[-1] != 1:
-                    raise ReducibleModulus(
-                        f"modulus must be monic of degree {m}")
-                if not _is_irreducible(mod, p):
-                    raise ReducibleModulus(f"modulus {mod} is reducible over GF({p})")
-            else:
-                mod = self._default_modulus()
-            self.modulus = mod
+            self.modulus = mod or self._default_modulus()
             self._alpha_pow_digits = self._alpha_powers()
             self.generator = self._find_generator(self._raw_mul)
             self._build_tables()
@@ -194,13 +192,15 @@ class Field:
 
     @staticmethod
     def _ret(out):
-        if isinstance(out, np.ndarray) and out.ndim == 0:
-            return int(out)
-        return out
+        # numpy gives 0-d results as numpy scalars: scalars come back as int
+        return out if isinstance(out, np.ndarray) and out.ndim else int(out)
 
     def add(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
+        if self.p == 2:
+            # base-2 digits add without carries: XOR on the encodings
+            return self._ret(a ^ b)
         if self.m == 1:
             return self._ret((a + b) % self.p)
         p = self.p

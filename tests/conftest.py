@@ -91,6 +91,20 @@ def brute_field_mul(field, a, b):
     return sum(c * p ** i for i, c in enumerate(res[:m]))
 
 
+def digit_add(field, a, b):
+    """Independent oracle: addition digit by digit in base p, the
+    coefficient-wise sum of the polynomial representations, with no XOR
+    shortcut in characteristic 2."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    p = field.p
+    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    for i in range(field.m):
+        pi = p ** i
+        out += (((a // pi) + (b // pi)) % p) * pi
+    return int(out) if out.ndim == 0 else out
+
+
 def _axis_power_table(ring, t, sign=1):
     n = ring.lengths[t]
     pw = np.array([ring.field.pow(ring.roots[t], sign * k) for k in range(n)],

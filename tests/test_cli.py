@@ -100,6 +100,14 @@ def test_validation_exit_codes(capsys):
     assert code == 5
 
 
+def test_prime_field_modulus_exit_2(capsys):
+    argv = ("construct", "--p", "7", "--lengths", "6", "--seeds", "(0)")
+    code, out, err = run(capsys, *argv, "--modulus", "1,0,0,5")
+    assert code == 2 and out == "" and "monic of degree 1" in err
+    # a monic degree-1 modulus names GF(7) itself
+    assert run(capsys, *argv, "--modulus", "3,1") == run(capsys, *argv)
+
+
 def test_out_of_range_field_and_ring_exit_2(capsys):
     start = time.perf_counter()
     code, _, err = run(capsys, "construct", "--p", str(2 ** 61 - 1),

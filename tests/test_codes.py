@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicyclic import (
     Field,
@@ -189,6 +191,63 @@ def test_min_distance_with_small_table_limits(limit, monkeypatch):
                                for _ in range(k)])
             d = 0 if rank(G) < k else exhaustive_min_distance(G)
             assert min_distance(G) == d, G.array
+
+
+# characteristic 2 past GF(8), where Field.add is XOR on the encodings
+CHAR2_RINGS = [Ring(Field(2, 2), (3,)), Ring(Field(2, 2), (3, 3)),
+               Ring(Field(2, 4), (15,)), Ring(Field(2, 4), (5, 3)),
+               Ring(Field(2, 4), (3, 5))]
+
+
+@pytest.mark.parametrize("limit", [None, 1, 40, 300])
+@pytest.mark.parametrize("ring", CHAR2_RINGS, ids=repr)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_char2_min_distance_matches_exhaustive_oracle(ring, limit, data):
+    q = ring.field.q
+    K_max = max(k for k in range(1, ring.N + 1) if q ** k <= 4096)
+    S = data.draw(st.lists(st.sampled_from(ring.monomials), min_size=1,
+                           max_size=K_max, unique=True))
+    G = construct(ring, S, budget=0).generator
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(codes, "TABLE_LIMIT", limit)
+        assert min_distance(G) == exhaustive_min_distance(G), (S, G.array)
+
+
+# the four codes of the benchmark's distance workload
+DISTANCE_CODES = [
+    (2, 4, (15, 15), [(0, 0), (1, 0), (0, 1), (1, 1)], (225, 4, 196)),
+    (2, 3, (7, 7), [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+     (49, 6, 30)),
+    (3, 2, (8, 8), [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)],
+     (64, 6, 42)),
+    (13, 1, (12, 12), [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)],
+     (144, 5, 120)),
+]
+
+
+@pytest.mark.parametrize("p,m,lengths,seeds,params", DISTANCE_CODES,
+                         ids=[f"{list(c[4])}_{c[0] ** c[1]}" for c in DISTANCE_CODES])
+def test_distance_codes_pinned(p, m, lengths, seeds, params):
+    rec = construct(Ring(Field(p, m), lengths), seeds)
+    assert (rec.n, rec.K, rec.d) == params
+
+
+def test_min_distance_weighs_by_comparison_in_bounded_memory():
+    # [225, 4, 196]_16 weighs against a span table of 16^3 rows x 225, 7.4 MB
+    # of int64: one boolean mask per offset fits the bound, while forming
+    # each offset's sum with the table needs several table-sized temporaries
+    G = construct(Ring(Field(2, 4), (15, 15)), DISTANCE_CODES[0][3],
+                  budget=0).generator
+    tracemalloc.start()
+    try:
+        d = min_distance(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 196
+    assert peak < 16 * 2 ** 20
 
 
 def test_min_distance_past_the_table_limit_in_bounded_memory():

@@ -19,7 +19,7 @@ from multicyclic.errors import (
 )
 from multicyclic.gf import _is_irreducible
 
-from conftest import brute_field_mul
+from conftest import brute_field_mul, digit_add
 
 
 def test_prime_field_basics(f3):
@@ -72,6 +72,16 @@ def test_reducible_modulus_rejected():
         Field(3, 2, modulus=[2, 0, 1])
     with pytest.raises(ReducibleModulus):
         Field(3, 2, modulus=[1, 0, 0, 1])  # wrong degree
+
+
+def test_prime_field_modulus_checked():
+    with pytest.raises(ReducibleModulus, match="monic of degree 1"):
+        Field(7, 1, modulus=[1, 0, 0, 5])
+    with pytest.raises(ReducibleModulus, match="monic of degree 1"):
+        Field(7, 1, modulus=[3, 2])
+    # a valid degree-1 modulus names the same field, with the same identity
+    fld = Field(7, 1, modulus=[3, 1])
+    assert fld.modulus == () and fld == Field(7) and hash(fld) == hash(Field(7))
 
 
 def test_default_modulus_is_deterministic(f8, f9):
@@ -205,3 +215,26 @@ def test_default_modulus_matches_sympy(p, m):
         if _sympy_irreducible(cand, p):
             break
     assert Field(p, m).modulus == tuple(cand)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_char2_add_matches_digit_loop(m):
+    fld = Field(2, m)
+    q = fld.q
+    rng = np.random.default_rng(m)
+    if q <= 256:
+        a, b = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    else:
+        a, b = rng.integers(0, q, size=(2, 100_000))
+    assert np.array_equal(fld.add(a, b), digit_add(fld, a, b))
+    assert np.array_equal(fld.sub(a, b), fld.add(a, b))
+    # the shapes of a span-table level: q multiples against one row or a table
+    A = rng.integers(0, q, size=(q, 1, 5))
+    for B in (rng.integers(0, q, size=5), rng.integers(0, q, size=(3, 5))):
+        assert np.array_equal(fld.add(A, B), digit_add(fld, A, B))
+        assert np.array_equal(fld.sub(A, B), fld.add(A, B))
+    x, y = (int(v) for v in rng.integers(0, q, size=2))
+    assert np.array_equal(fld.add(x, b), digit_add(fld, x, b))
+    assert np.array_equal(fld.add(a, y), digit_add(fld, a, y))
+    for s in (fld.add(x, y), fld.add(np.int64(x), y), fld.sub(x, y)):
+        assert type(s) is int and s == digit_add(fld, x, y)
