@@ -246,11 +246,28 @@ class SearchRow:
     d: int
 
 
-def translation_key(S, lengths) -> tuple:
-    """The least translate of S, sorted, coordinates mod n_t.  It puts some
-    s in S at the origin, so the K translates S - s are enough."""
-    return min(tuple(sorted(tuple((i - j) % n for i, j, n in zip(x, s, lengths))
-                            for x in S)) for s in S)
+def translation_keys(cands, lengths) -> np.ndarray:
+    """Row-wise least translate of each candidate, as sorted C-order flat
+    indices: (C, K, r) coordinates give (C, K) keys, equal exactly when
+    two candidates are translates of each other.  Each least translate
+    puts some member at the origin, so the K translates S - s are enough;
+    they are formed one at a time and each row keeps the lexicographically
+    least, decided at the first position where the two differ, in
+    O(C K r) memory."""
+    C, K, r = cands.shape
+    strides = [math.prod(lengths[t + 1:]) for t in range(r)]
+    rows = np.arange(C)
+    best = np.full((C, K), math.prod(lengths))
+    for s in range(K):
+        flat = np.zeros((C, K), dtype=np.int64)
+        for t in range(r):
+            coord = cands[:, :, t]
+            flat += (coord - coord[:, s:s + 1]) % lengths[t] * strides[t]
+        flat.sort(axis=1)
+        first = (flat != best).argmax(axis=1)
+        less = flat[rows, first] < best[rows, first]
+        best[less] = flat[less]
+    return best
 
 
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
@@ -258,8 +275,10 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     """All (or sampled) unions of orbits of total size K_target, ranked by
     exact distance descending, ties toward the lexicographically smallest
     defining set.  A translate S + a multiplies every codeword by a
-    character, so `construct` runs once per `translation_key` (O(K^2 log K)
-    per candidate, sampled or not) and every candidate gets its class's d.
+    character, so `construct` runs once per class of `translation_keys`
+    (K sorted translates of K indices per candidate, on one array of all
+    candidates) and every candidate gets its class's d, then a stable
+    sort on d ranks them.
     Raises BudgetExceeded, constructing nothing, when q^K_target > budget."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
@@ -273,18 +292,25 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
             f"{q ** K_target} codewords exceed budget {budget}: "
             "candidates cannot be ranked")
     if total <= EXHAUSTIVE_LIMIT:
-        selections = itertools.combinations(range(len(orbs)), K_target)
+        combos = itertools.combinations(range(len(orbs)), K_target)
+        sel = np.fromiter(itertools.chain.from_iterable(combos),
+                          dtype=np.int64, count=total * K_target)
+        sel = sel.reshape(total, K_target)
     else:
         rng = random.Random(seed)
-        selections = set()
-        while len(selections) < min(SAMPLES, total):
-            selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
-    class_d, rows = {}, []
-    for sel in selections:
-        S = DefiningSet(frozenset(m for i in sel for m in orbs[i].members))
-        key = translation_key(S, ring.lengths)
-        if key not in class_d:
-            class_d[key] = construct(ring, S.sorted(), budget=budget).d
-        rows.append(SearchRow(S, len(S), class_d[key]))
-    rows.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
-    return rows
+        drawn = set()
+        while len(drawn) < min(SAMPLES, total):
+            drawn.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
+        sel = np.array(sorted(drawn), dtype=np.int64)
+    # orbits come sorted by representative, so each row of sel, and the
+    # rows in their order, follow the lexicographic order of S
+    reps = [o.representative for o in orbs]
+    _, first, inverse = np.unique(
+        translation_keys(np.array(reps, dtype=np.int64)[sel], ring.lengths),
+        axis=0, return_index=True, return_inverse=True)
+    members = [[reps[i] for i in row] for row in sel.tolist()]
+    class_d = np.array([construct(ring, members[c], budget=budget).d
+                        for c in first.tolist()], dtype=np.int64)
+    d = class_d[inverse.reshape(-1)]
+    return [SearchRow(DefiningSet(frozenset(members[c])), K_target, int(d[c]))
+            for c in np.argsort(-d, kind="stable").tolist()]

@@ -175,15 +175,24 @@ class Field:
         return acc
 
     def _build_tables(self):
-        q = self.q
-        exp = np.zeros(q - 1, dtype=np.int64)
+        """exp[k] = g^k by doubling: multiplication by c = g^L is GF(p)-linear
+        on the base-p digits, so exp[L:2L] is the digits of exp[:L] times
+        the m x m matrix of c (m `_raw_mul` calls), then c is squared."""
+        p, m, q = self.p, self.m, self.q
+        place = p ** np.arange(m, dtype=np.int64)
+        exp = np.ones(1, dtype=np.int64)
+        c = self.generator
+        while len(exp) < q - 1:
+            M = np.array([_digits(self._raw_mul(int(b), c), p, m) for b in place],
+                         dtype=np.int64)
+            digits = (exp[:, None] // place) % p
+            exp = np.concatenate([exp, ((digits @ M) % p) @ place])
+            c = self._raw_mul(c, c)
+        exp = exp[:q - 1]
         log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for k in range(q - 1):
-            exp[k] = x
-            log[x] = k
-            x = self._raw_mul(x, self.generator)
-        if x != 1:
+        log[exp] = np.arange(q - 1)
+        # q - 1 entries that reach every nonzero element: a permutation
+        if not np.array_equal(exp[log[1:]], np.arange(1, q)):
             raise NotPrime("generator order mismatch")  # unreachable
         self._exp = exp
         self._log = log

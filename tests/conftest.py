@@ -91,6 +91,22 @@ def brute_field_mul(field, a, b):
     return sum(c * p ** i for i, c in enumerate(res[:m]))
 
 
+@functools.lru_cache(maxsize=None)
+def loop_field_tables(field):
+    """Oracle: the log/antilog tables by one `_raw_mul` by the generator
+    per element, checking that the generator has order q - 1."""
+    q = field.q
+    exp = np.zeros(q - 1, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    x = 1
+    for k in range(q - 1):
+        exp[k] = x
+        log[x] = k
+        x = field._raw_mul(x, field.generator)
+    assert x == 1, "generator order mismatch"
+    return exp, log
+
+
 def digit_add(field, a, b):
     """Independent oracle: addition digit by digit in base p, the
     coefficient-wise sum of the polynomial representations, with no XOR
@@ -295,6 +311,13 @@ def two_branch_build_basis(e, K, kp):
             return polys, BASIS_GREEDY
     raise RankDeficient(
         f"monomial multiples of e span rank {red.rank}, expected {K}")
+
+
+def translation_key(S, lengths) -> tuple:
+    """Oracle: the least translate of S, sorted, coordinates mod n_t.  It
+    puts some s in S at the origin, so the K translates S - s are enough."""
+    return min(tuple(sorted(tuple((i - j) % n for i, j, n in zip(x, s, lengths))
+                            for x in S)) for s in S)
 
 
 def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,

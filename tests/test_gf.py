@@ -19,7 +19,10 @@ from multicyclic.errors import (
 )
 from multicyclic.gf import _is_irreducible
 
-from conftest import brute_field_mul, digit_add
+from conftest import brute_field_mul, digit_add, loop_field_tables
+
+EXTENSION_FIELDS = [(p, m) for p in range(2, 65) for m in range(2, 13)
+                    if all(p % d for d in range(2, p)) and p ** m <= 4096]
 
 
 def test_prime_field_basics(f3):
@@ -133,6 +136,29 @@ def test_log_antilog_tables(field):
         x = field.mul(x, g)
     assert x == 1
     assert seen == set(range(1, field.q))
+
+
+@pytest.mark.parametrize(
+    "p, m", EXTENSION_FIELDS + [(2, 16), (3, 10), (251, 2)],
+    ids=lambda v: str(v))
+def test_doubled_tables_match_loop_oracle(p, m):
+    field = Field(p, m)
+    exp, log = loop_field_tables(field)
+    assert np.array_equal(field._exp, exp)
+    assert np.array_equal(field._log, log)
+
+
+def test_tables_reject_generator_of_lower_order():
+    field = Field(2, 4)
+    field.generator = field.pow(field.generator, 3)  # order 5, not 15
+    with pytest.raises(NotPrime, match="order mismatch"):
+        field._build_tables()
+
+
+def test_large_field_builds_fast():
+    start = time.perf_counter()
+    Field(2, 16)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_nth_root_of_unity(f3, f9):

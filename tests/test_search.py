@@ -5,18 +5,21 @@ the per-candidate oracle in conftest on every small ring of the family."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multicyclic import DefiningSet, SearchRow, codes, construct, search
-from multicyclic.codes import DEFAULT_BUDGET, translation_key
+from multicyclic.codes import DEFAULT_BUDGET, translation_keys
 
 from conftest import (
     construct_every_candidate_search,
     enumerate_rings,
     exhaustive_min_distance,
+    translation_key,
 )
 
 RINGS = enumerate_rings()
@@ -68,6 +71,52 @@ def test_translation_key_separates_classes():
             classes.setdefault(orbit, set()).add(translation_key(S, lengths))
         assert all(len(keys) == 1 for keys in classes.values())
         assert len({k for keys in classes.values() for k in keys}) == len(classes)
+
+
+def _candidates(ring, K, count, rng):
+    """count random K-subsets of the box, each followed by a random
+    translate of itself so that classes have several members."""
+    box = np.array(ring.monomials, dtype=np.int64)
+    out = []
+    for _ in range(count):
+        S = box[rng.choice(ring.N, size=K, replace=False)]
+        shift = np.array([rng.integers(n) for n in ring.lengths])
+        out += [S, (S + shift) % ring.lengths]
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 6))
+def test_translation_keys_split_into_oracle_classes(ring, seed, count):
+    rng = np.random.default_rng(seed)
+    for K in sorted({1, ring.N, int(rng.integers(1, ring.N + 1))}):
+        cands = _candidates(ring, K, count, rng)
+        keys = [tuple(row) for row in
+                translation_keys(cands, ring.lengths).tolist()]
+        oracle = [translation_key([tuple(x) for x in S], ring.lengths)
+                  for S in cands.tolist()]
+        # equal keys exactly where the oracle's keys are equal
+        assert len(set(zip(keys, oracle))) == len(set(keys)) == len(set(oracle))
+
+
+def test_translation_keys_memory_is_linear():
+    # 10,000 candidates of 64 indices on 256x256: a (C, K, K, r) broadcast
+    # would need about 650 MB
+    lengths = (256, 256)
+    rng = np.random.default_rng(0)
+    cands = rng.integers(0, 256, size=(10_000, 64, 2), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        keys = translation_keys(cands, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (10_000, 64)
+    assert peak < 64 * 2 ** 20
+    for S, key in zip(cands[:5].tolist(), keys[:5].tolist()):
+        assert key == [i * 256 + j for i, j in
+                       translation_key([tuple(x) for x in S], lengths)]
 
 
 def _oracle_cases():
