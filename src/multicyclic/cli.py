@@ -6,6 +6,9 @@ Commands:
   verify      run the algebraic property suite on a ring
   reproduce   rebuild the embedded reference artifacts and diff them
 
+Each command registers only the flags it reads; the property suite and
+the reference artifacts are in `verify`.
+
 Exit codes: 2 validation failure, 3 root-of-unity condition fails,
 4 distance budget exceeded, 5 infeasible dimension target, 6 a verified
 property fails, 7 reproduction mismatch.
@@ -15,25 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 
-import numpy as np
-
-from . import codes as codes_mod
-from . import orbits as orb_mod
-from .codes import DEFAULT_BUDGET, CodeRecord, construct, search
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    MulticyclicError,
-    OrderNotDividing,
-)
+from .codes import DEFAULT_BUDGET, CodeRecord, construct, literal_monomial_sum, search
+from .errors import BudgetExceeded, Infeasible, MulticyclicError, OrderNotDividing
 from .gf import Field
 from .linalg import rref
 from .ring import Ring
-from .spectral import fourier, fourier_inverse, idempotent_from_set, primitive_idempotent
+from .spectral import fourier
+from .verify import property_suite, reference_mismatches, reference_records
 
 EXIT_VALIDATION = 2
 EXIT_ORDER = 3
@@ -41,6 +35,11 @@ EXIT_BUDGET = 4
 EXIT_INFEASIBLE = 5
 EXIT_PROPERTY = 6
 EXIT_MISMATCH = 7
+
+# the first matching class names the exit code of an error
+_EXIT_CODES = ((OrderNotDividing, EXIT_ORDER), (BudgetExceeded, EXIT_BUDGET),
+               (Infeasible, EXIT_INFEASIBLE),
+               ((MulticyclicError, ValueError), EXIT_VALIDATION))
 
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -153,150 +152,16 @@ def readback_check(rec: CodeRecord) -> None:
             raise MulticyclicError("read-back: spectrum leaves the defining set")
 
 
-# -- property suite --------------------------------------------------------
-
-def property_suite(ring: Ring, trials: int = 100, seed: int = 0):
-    """Run the algebraic invariant suite; yields (name, ok, detail)."""
-    fld = ring.field
-    rng = random.Random(seed)
-    results = []
-
-    idems = {i: primitive_idempotent(ring, i) for i in ring.monomials}
-
-    ok, detail = True, ""
-    for i, e in idems.items():
-        if e * e != e:
-            ok, detail = False, f"e_{i}^2 != e_{i}"
-            break
-    results.append(("idempotence", ok, detail))
-
-    ok, detail = True, ""
-    keys = list(idems)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            prod = idems[keys[a]] * idems[keys[b]]
-            if not prod.is_zero():
-                ok, detail = False, f"e_{keys[a]} * e_{keys[b]} != 0"
-                break
-        if not ok:
-            break
-    results.append(("orthogonality", ok, detail))
-
-    total = ring.zero()
-    for e in idems.values():
-        total = total + e
-    ok = total == ring.one()
-    results.append(("partition_of_unity", ok, "" if ok else f"sum = {total}"))
-
-    ok, detail = True, ""
-    for i, e in idems.items():
-        spec = fourier(e)
-        expected = np.zeros(ring.lengths, dtype=np.int64)
-        expected[i] = 1
-        if not np.array_equal(spec.values, expected):
-            ok, detail = False, f"fourier(e_{i}) is not the delta at {i}"
-            break
-    results.append(("delta_evaluation", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(trials):
-        f = ring.random_poly(rng)
-        if fourier_inverse(fourier(f)) != f:
-            ok, detail = False, f"round trip failed for {f}"
-            break
-    results.append(("fourier_round_trip", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(trials):
-        a = ring.random_poly(rng)
-        b = ring.random_poly(rng)
-        lhs = fourier(a * b).values
-        rhs = np.asarray(fld.mul(fourier(a).values, fourier(b).values))
-        if not np.array_equal(lhs, rhs):
-            ok, detail = False, f"convolution failed for {a} and {b}"
-            break
-    results.append(("convolution_property", ok, detail))
-
-    ok, detail = True, ""
-    for _ in range(trials):
-        k = rng.randrange(ring.N + 1)
-        seeds = rng.sample(ring.monomials, k)
-        S = orb_mod.closure(seeds, ring.lengths, fld.q)
-        e = idempotent_from_set(ring, S)
-        reps = list(orb_mod.combinatorial_form(e))
-        S2 = orb_mod.closure(reps, ring.lengths, fld.q)
-        if S2.indices != S.indices or idempotent_from_set(ring, S2) != e:
-            ok, detail = False, f"round trip failed for seeds {sorted(seeds)}"
-            break
-    results.append(("equivalence_round_trip", ok, detail))
-    return results
-
-
-# -- reference artifacts (3-dimensional codes over GF(3)) -------------------
-
-REFERENCE_IDEMPOTENT = "2x + 2y + xy + 2xz + 2yz + xyz"
-REFERENCE_GENERATOR = [
-    [0, 2, 2, 0, 1, 2, 2, 1],
-    [2, 0, 1, 2, 2, 0, 1, 2],
-    [2, 1, 0, 2, 2, 1, 0, 2],
-]
-REFERENCE_ROWS = [
-    {"K": 3, "seeds": [(0, 0, 0), (1, 0, 0), (0, 1, 0)], "d": 4},
-    {"K": 4, "seeds": [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)], "d": 4},
-]
-
-
-def run_reproduce(out) -> int:
-    ring = Ring(Field(3), (2, 2, 2))
-    mismatches = []
-    records = []
-    for row in REFERENCE_ROWS:
-        rec = construct(ring, row["seeds"])
-        readback_check(rec)
-        records.append(rec)
-        if rec.K != row["K"] or rec.d != row["d"]:
-            mismatches.append(
-                f"K={row['K']}: computed {rec.params()}, expected d={row['d']}")
-    rec3 = records[0]
-    if str(rec3.idempotent) != REFERENCE_IDEMPOTENT:
-        mismatches.append(f"idempotent: computed {rec3.idempotent}")
-    if rec3.generator.array.tolist() != REFERENCE_GENERATOR:
-        mismatches.append(f"generator: computed {rec3.generator.array.tolist()}")
-
-    print("reference table: [8, K, d]_3 codes over GF(3), lengths (2, 2, 2)", file=out)
-    for row, rec in zip(REFERENCE_ROWS, records):
-        flag = "applicable" if rec.bound_applicable else "informational only"
-        print(f"  K={rec.K}  T={format_defining_set(rec.defining_set)}  "
-              f"basis size={rec.generator.rows}  d={rec.d}  "
-              f"product bound {rec.product_bound} ({flag})", file=out)
-    print(f"idempotent (K=3): {rec3.idempotent}", file=out)
-    print("generator matrix (K=3):", file=out)
-    for grow in rec3.generator.array:
-        print("  " + " ".join(map(str, grow)), file=out)
-    if mismatches:
-        for msg in mismatches:
-            print(f"MISMATCH: {msg}", file=out)
-        return EXIT_MISMATCH
-    print("all artifacts match", file=out)
-    return 0
-
-
 # -- command handlers ------------------------------------------------------
 
 def cmd_construct(args) -> int:
     ring = _build_ring(args)
     seeds = parse_seeds(args.seeds)
-    for s in seeds:
-        if not ring.in_box(s):
-            print(f"error: seed {s} outside box {ring.lengths}", file=sys.stderr)
-            return EXIT_VALIDATION
     rec = construct(ring, seeds, budget=args.budget)
     readback_check(rec)
     print(emit_record(rec, args.format))
     if args.literal_step3 and seeds:
-        reps = sorted({orb_mod.orbit_of(s, ring.lengths, ring.field.q).representative
-                       for s in seeds})
-        lit = codes_mod.literal_monomial_sum(ring, reps)
+        lit = literal_monomial_sum(ring, seeds)
         verdict = "idempotent" if lit * lit == lit else "NOT idempotent"
         print(f"literal step-3 monomial sum: {lit} ({verdict})")
     return 0
@@ -347,7 +212,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    return run_reproduce(sys.stdout)
+    records = reference_records()
+    for rec in records:
+        readback_check(rec)
+    print("reference table: [8, K, d]_3 codes over GF(3), lengths (2, 2, 2)")
+    for rec in records:
+        flag = "applicable" if rec.bound_applicable else "informational only"
+        print(f"  K={rec.K}  T={format_defining_set(rec.defining_set)}  "
+              f"basis size={rec.generator.rows}  d={rec.d}  "
+              f"product bound {rec.product_bound} ({flag})")
+    rec3 = records[0]
+    print(f"idempotent (K=3): {rec3.idempotent}")
+    print("generator matrix (K=3):")
+    for grow in rec3.generator.array:
+        print("  " + " ".join(map(str, grow)))
+    mismatches = reference_mismatches(records)
+    for msg in mismatches:
+        print(f"MISMATCH: {msg}")
+    if mismatches:
+        return EXIT_MISMATCH
+    print("all artifacts match")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,38 +241,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and analyze r-dimensional multicyclic codes over GF(p^m).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_ring_args(p):
+    options = {
+        "--format": dict(choices=("text", "json", "csv"), default="text"),
+        "--seed": dict(type=int, default=0, help="seed of the random draws"),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                         help="largest q^K for which the exact distance is computed"),
+    }
+
+    def add_ring_args(p, *flags):
         p.add_argument("--p", type=int, required=True, help="field characteristic")
         p.add_argument("--m", type=int, default=1, help="extension degree")
         p.add_argument("--modulus", default=None,
                        help="comma-separated base-p coefficients, low degree first")
         p.add_argument("--lengths", required=True,
                        help="comma-separated axis lengths n_1,...,n_r")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="largest q^K for which the exact distance is computed")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
 
-    pc = sub.add_parser("construct", help="build one code from explicit seeds")
-    add_ring_args(pc)
+    def add_command(name, func, help):
+        # no prefix matching: `--seed` must not be read as `--seeds`
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    pc = add_command("construct", cmd_construct, "build one code from explicit seeds")
+    add_ring_args(pc, "--format", "--budget")
     pc.add_argument("--seeds", required=True,
                     help='e.g. "(0,0,0);(1,0,0);(0,1,0)"')
     pc.add_argument("--literal-step3", action="store_true",
                     help="also report the literal monomial-sum diagnostic")
-    pc.set_defaults(func=cmd_construct)
 
-    ps = sub.add_parser("search", help="rank codes of a target dimension")
-    add_ring_args(ps)
+    ps = add_command("search", cmd_search, "rank codes of a target dimension")
+    add_ring_args(ps, "--format", "--seed", "--budget")
     ps.add_argument("--K", type=int, required=True, help="target dimension")
     ps.add_argument("--top", type=int, default=10, help="rows to print (0 = all)")
-    ps.set_defaults(func=cmd_search)
 
-    pv = sub.add_parser("verify", help="run the algebraic property suite")
-    add_ring_args(pv)
-    pv.set_defaults(func=cmd_verify)
+    pv = add_command("verify", cmd_verify, "run the algebraic property suite")
+    add_ring_args(pv, "--seed")
 
-    pr = sub.add_parser("reproduce", help="rebuild embedded reference artifacts")
-    pr.set_defaults(func=cmd_reproduce)
+    add_command("reproduce", cmd_reproduce, "rebuild embedded reference artifacts")
     return parser
 
 
@@ -396,18 +288,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OrderNotDividing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORDER
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (MulticyclicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

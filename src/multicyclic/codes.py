@@ -226,15 +226,14 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
         bound_applicable=applicable, singleton_bound=sb)
 
 
-def literal_monomial_sum(ring: Ring, representatives) -> Poly:
-    """Diagnostic only: the sum of monomials X^i over the orbits of the
-    given representatives, with coefficient 1 (a literal reading of the
-    construction recipe that is generally not idempotent)."""
-    acc = ring.zero()
-    for rep in representatives:
-        for idx in orb_mod.orbit_of(rep, ring.lengths, ring.field.q).members:
-            acc = acc + ring.monomial(idx)
-    return acc
+def literal_monomial_sum(ring: Ring, seeds) -> Poly:
+    """Diagnostic only: the sum of monomials X^i over the closure of the
+    seeds, with coefficient 1 (a literal reading of the construction
+    recipe that is generally not idempotent)."""
+    values = np.zeros(ring.lengths, dtype=np.int64)
+    for idx in closure(seeds, ring.lengths, ring.field.q):
+        values[idx] = 1
+    return Poly(ring, values)
 
 
 # -- search over orbit selections ------------------------------------------

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from multicyclic import cli
+from multicyclic import cli, verify
 from multicyclic.cli import format_defining_set, main, parse_seeds
 from multicyclic.codes import SearchRow
 from multicyclic.errors import MulticyclicError
@@ -180,6 +180,59 @@ def test_reproduce(capsys):
     assert "informational only" in out
 
 
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    for argv in (
+            ("construct", "--p", "3", "--lengths", "2", "--seeds", "(0)", "--seed", "1"),
+            ("verify", "--p", "3", "--lengths", "2,2,2", "--format", "json"),
+            ("verify", "--p", "3", "--lengths", "2,2,2", "--budget", "10"),
+            ("reproduce", "--seed", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_verify_property_failure_exits_6(capsys, monkeypatch):
+    real = verify.primitive_idempotent
+
+    def doubled_at_1(ring, index):
+        e = real(ring, index)
+        return e.scale(2) if index == (1,) else e
+    monkeypatch.setattr(verify, "primitive_idempotent", doubled_at_1)
+    code, out, _ = run(capsys, "verify", "--p", "5", "--lengths", "4")
+    assert code == 6
+    # over GF(5), e_1 = 4 + 2x + x^2 + 3x^3, so the sum is 1 + e_1
+    assert out.splitlines() == [
+        "idempotence: FAIL  (e_(1,)^2 != e_(1,))",
+        "orthogonality: pass",
+        "partition_of_unity: FAIL  (sum = 2x + x^2 + 3x^3)",
+        "delta_evaluation: FAIL  (fourier(e_(1,)) is not the delta at (1,))",
+        "fourier_round_trip: pass",
+        "convolution_property: pass",
+        "equivalence_round_trip: pass",
+    ]
+
+
+@pytest.mark.parametrize("name, value, mismatch", [
+    ("REFERENCE_IDEMPOTENT", "x",
+     "idempotent: computed 2x + 2y + xy + 2xz + 2yz + xyz"),
+    ("REFERENCE_GENERATOR", [[0] * 8] * 3,
+     "generator: computed [[0, 2, 2, 0, 1, 2, 2, 1], [2, 0, 1, 2, 2, 0, 1, 2], "
+     "[2, 1, 0, 2, 2, 1, 0, 2]]"),
+    ("REFERENCE_ROWS", [dict(verify.REFERENCE_ROWS[0], d=5), verify.REFERENCE_ROWS[1]],
+     "K=3: computed [8, 3, 4]_3, expected d=5"),
+])
+def test_reproduce_mismatch_exits_7(capsys, monkeypatch, name, value, mismatch):
+    _, good, _ = run(capsys, "reproduce")
+    monkeypatch.setattr(verify, name, value)
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 7
+    lines = out.splitlines()
+    assert lines[-1] == f"MISMATCH: {mismatch}"
+    assert lines[:-1] == good.splitlines()[:-1]
+    assert good.splitlines()[-1] == "all artifacts match"
+
+
 def test_determinism(capsys):
     args = ("search", "--p", "3", "--lengths", "2,2,2", "--K", "3",
             "--format", "json", "--top", "0")
@@ -258,3 +311,26 @@ def test_search_distance_mismatch_exits_2(capsys, monkeypatch):
                          "--K", "3")
     assert code == 2 and out == ""
     assert "d = 5" in err and "d = 4" in err
+
+
+# sha256 of `reproduce` stdout and of `verify` stdout (seven "pass" lines on
+# every ring and seed), taken when both commands lived wholly in the CLI
+REPRODUCE_STDOUT_SHA256 = "d1bd46864f1c3636d2b587acb118faa2ff91b964b2ca271efc518d2acf864776"
+VERIFY_STDOUT_SHA256 = "d2a86e7f4de8d062c26f4bc0bd1ad8bab306062361d813bf501824cffc5fa3ff"
+
+
+def test_reproduce_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "reproduce")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_STDOUT_SHA256
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+@pytest.mark.parametrize("ring", [("--p", "3", "--lengths", "2,2,2"),
+                                  ("--p", "5", "--lengths", "4"),
+                                  ("--p", "2", "--m", "3", "--lengths", "7"),
+                                  ("--p", "7", "--lengths", "6,6")], ids=str)
+def test_verify_stdout_pinned(capsys, ring, seed):
+    code, out, _ = run(capsys, "verify", *ring, "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256

@@ -364,6 +364,8 @@ def test_literal_monomial_sum_diagnostic(ring3):
     # the sum over the full box IS idempotent only in trivial cases
     lit0 = literal_monomial_sum(ring3, [(0, 0, 0)])
     assert lit0 == ring3.one()
+    # the 0/1 indicator of the closure: a repeated seed counts once
+    assert literal_monomial_sum(ring3, REFERENCE_SEEDS_K3 + [(1, 0, 0)]) == lit
 
 
 def test_search_reference_ring_k3(ring3):

@@ -107,15 +107,18 @@ def test_field_axioms_exhaustive(field):
     q = field.q
     if q > 64:
         pytest.skip("exhaustive triple check capped at q = 64")
-    elems = range(q)
-    for a, b in itertools.product(elems, repeat=2):
+    # the q^2 pairs on scalars, so the scalar path stays exhaustive
+    for a, b in itertools.product(range(q), repeat=2):
         assert field.add(a, b) == field.add(b, a)
         assert field.mul(a, b) == field.mul(b, a)
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-        assert field.mul(a, field.add(b, c)) == field.add(
-            field.mul(a, b), field.mul(a, c))
+    # all q^3 triples at once: a, b and c broadcast to a (q, q, q) grid
+    elems = np.arange(q)
+    a, b, c = elems[:, None, None], elems[None, :, None], elems[None, None, :]
+    add, mul = field.add, field.mul
+    assert np.array_equal(add(add(a, b), c), add(a, add(b, c)))
+    assert np.array_equal(mul(mul(a, b), c), mul(a, mul(b, c)))
+    assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))
+    assert add(a, add(b, c)).shape == (q, q, q)
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(7), Field(2, 3), Field(3, 2)])
