@@ -11,13 +11,14 @@ the reference artifacts are in `verify`.
 
 Exit codes: 2 validation failure, 3 root-of-unity condition fails,
 4 distance budget exceeded, 5 infeasible dimension target, 6 a verified
-property fails, 7 reproduction mismatch.
+property fails, 7 reproduction mismatch, 1 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -93,7 +94,7 @@ def record_to_dict(rec: CodeRecord) -> dict:
         "product_bound_applicable": rec.bound_applicable,
         "singleton_bound": rec.singleton_bound,
         "generator": rec.generator.array.tolist(),
-        "columns": [rec.ring.monomial_str(m) for m in rec.ring.monomials],
+        "columns": list(rec.ring.labels),
     }
 
 
@@ -116,17 +117,15 @@ def record_to_text(rec: CodeRecord) -> str:
     lines.append(f"product bound: {rec.product_bound} ({flag})")
     lines.append(f"singleton bound: {rec.singleton_bound}")
     lines.append(f"idempotent: {rec.idempotent}")
-    cols = ", ".join(rec.ring.monomial_str(m) for m in rec.ring.monomials)
-    lines.append(f"generator matrix (columns: {cols}):")
+    lines.append(f"generator matrix (columns: {', '.join(rec.ring.labels)}):")
     for row in rec.generator.array:
         lines.append("  " + " ".join(map(str, row)))
     return "\n".join(lines)
 
 
 def record_to_csv(rec: CodeRecord) -> str:
-    header = ",".join(rec.ring.monomial_str(m) for m in rec.ring.monomials)
     rows = [",".join(map(str, row)) for row in rec.generator.array]
-    return "\n".join([header] + rows)
+    return "\n".join([",".join(rec.ring.labels)] + rows)
 
 
 def emit_record(rec: CodeRecord, fmt: str) -> str:
@@ -287,10 +286,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:      # None if started with fd 1 closed
+            sys.stdout.flush()
     except (MulticyclicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    except BrokenPipeError:
+        # The reader of stdout closed it early (`... | head -1`).  Point
+        # stdout at the null device so that the flush at exit cannot fail
+        # again; see "Note on SIGPIPE" in the `signal` module's docs.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -22,17 +22,6 @@ from .errors import (
 MAX_ORDER = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -104,7 +93,7 @@ class Field:
         # the range check comes first: trial division of a large p is slow
         if m < 1 or m > 16 or p ** m > MAX_ORDER:
             raise DegreeTooLarge(f"p^m = {p}^{m} outside supported range")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise NotPrime(f"p = {p} is not prime")
         self.p = p
         self.m = m

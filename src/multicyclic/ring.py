@@ -12,7 +12,6 @@ degree, ties broken lexicographically with X_1 > X_2 > ... > X_r.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 
@@ -58,22 +57,25 @@ class Ring:
         self.r = len(lengths)
         self.N = N
         self.roots = tuple(field.nth_root_of_unity(n) for n in lengths)
-        self.monomials = sorted(
-            itertools.product(*(range(n) for n in lengths)),
-            key=lambda e: (sum(e), tuple(-x for x in e)))
-        # gather[i] = C-order flat index of the i-th monomial
-        self._gather = np.array(
-            [int(np.ravel_multi_index(e, lengths)) for e in self.monomials],
-            dtype=np.int64)
+        # gather[i] = C-order flat index of the i-th monomial.  np.lexsort
+        # sorts by its last key first: total degree, then higher exponents
+        # of X_1, X_2, ..., X_r first.
+        box = np.indices(lengths).reshape(self.r, N)
+        self._gather = np.lexsort(np.vstack([-box[::-1], box.sum(axis=0)]))
+        self.monomials = list(zip(*box[:, self._gather].tolist()))
 
-    def var_names(self):
-        if self.r <= len(_VAR_NAMES_SHORT):
-            return _VAR_NAMES_SHORT[:self.r]
-        return tuple(f"x{t + 1}" for t in range(self.r))
+    @cached_property
+    def labels(self) -> tuple:
+        """The name of every monomial, in the monomial order."""
+        return tuple(map(self.monomial_str, self.monomials))
 
     def monomial_str(self, exps) -> str:
+        if self.r <= len(_VAR_NAMES_SHORT):
+            names = _VAR_NAMES_SHORT
+        else:
+            names = [f"x{t + 1}" for t in range(self.r)]
         parts = []
-        for name, e in zip(self.var_names(), exps):
+        for name, e in zip(names, exps):
             if e == 1:
                 parts.append(name)
             elif e > 1:
@@ -191,9 +193,6 @@ class Poly:
                                   ring.transform(other.coeffs))
         return Poly(ring, ring.transform(spectrum, inverse=True))
 
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.ring, self.ring.field.mul(c, self.coeffs))
-
     def translate(self, exps) -> "Poly":
         """Multiply by the monomial X^exps (shift along every axis)."""
         if len(exps) != self.ring.r:
@@ -227,16 +226,11 @@ class Poly:
     def __hash__(self):
         return hash((self.ring, self.coeffs.tobytes()))
 
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.coeffs))
-
     def __str__(self):
         terms = []
-        for exps in self.ring.monomials:
-            c = int(self.coeffs[exps])
+        for c, mono in zip(self.vector().tolist(), self.ring.labels):
             if c == 0:
                 continue
-            mono = self.ring.monomial_str(exps)
             if mono == "1":
                 terms.append(str(c))
             elif c == 1:

@@ -66,6 +66,62 @@ def enumerate_rings(qs=(3, 5, 7, 8, 9), max_r=3, max_N=64):
     return out
 
 
+def graded_lex_monomials(lengths):
+    """Oracle: every exponent tuple of the box, sorted by a Python key:
+    total degree, then X_1 > X_2 > ... > X_r."""
+    return sorted(
+        itertools.product(*(range(n) for n in lengths)),
+        key=lambda e: (sum(e), tuple(-x for x in e)))
+
+
+def ravel_gather(lengths, monomials):
+    """Oracle: the C-order flat index of each monomial, one
+    `np.ravel_multi_index` per monomial."""
+    return np.array(
+        [int(np.ravel_multi_index(e, lengths)) for e in monomials],
+        dtype=np.int64)
+
+
+_VAR_NAMES_SHORT = ("x", "y", "z")
+
+
+def var_names(r):
+    """Oracle: x, y, z for up to three axes, else x1, ..., xr."""
+    if r <= len(_VAR_NAMES_SHORT):
+        return _VAR_NAMES_SHORT[:r]
+    return tuple(f"x{t + 1}" for t in range(r))
+
+
+def monomial_name(r, exps) -> str:
+    """Oracle: the name of X^exps, one factor per axis with a nonzero
+    exponent, and "1" for the constant monomial."""
+    parts = []
+    for name, e in zip(var_names(r), exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "".join(parts) if parts else "1"
+
+
+def term_loop_str(f):
+    """Oracle: `str` of a ring element, one term per nonzero coefficient in
+    the oracle monomial order, each coefficient read from the tensor."""
+    terms = []
+    for exps in graded_lex_monomials(f.ring.lengths):
+        c = int(f.coeffs[exps])
+        if c == 0:
+            continue
+        mono = monomial_name(f.ring.r, exps)
+        if mono == "1":
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(mono)
+        else:
+            terms.append(f"{c}{mono}")
+    return " + ".join(terms) if terms else "0"
+
+
 def one_hot(ring, axis, power=1):
     """Exponent tuple of the monomial X_axis^power."""
     return tuple(power if t == axis else 0 for t in range(ring.r))
@@ -233,7 +289,7 @@ def spectral_codewords(ring, S):
 def spectral_min_distance(ring, S):
     best = None
     for cw in spectral_codewords(ring, S):
-        w = cw.weight()
+        w = int(np.count_nonzero(cw.coeffs))
         if w and (best is None or w < best):
             best = w
     return best

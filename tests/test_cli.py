@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -197,7 +200,7 @@ def test_verify_property_failure_exits_6(capsys, monkeypatch):
 
     def doubled_at_1(ring, index):
         e = real(ring, index)
-        return e.scale(2) if index == (1,) else e
+        return e + e if index == (1,) else e
     monkeypatch.setattr(verify, "primitive_idempotent", doubled_at_1)
     code, out, _ = run(capsys, "verify", "--p", "5", "--lengths", "4")
     assert code == 6
@@ -334,3 +337,58 @@ def test_verify_stdout_pinned(capsys, ring, seed):
     code, out, _ = run(capsys, "verify", *ring, "--seed", seed)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
+
+
+# sha256 of `construct` stdout on rings with more than three axes, whose
+# column names are x1, x2, ..., taken when each printer built the names itself
+CONSTRUCT_WIDE_STDOUT_SHA256 = {
+    ("--p", "3", "--m", "2", "--lengths", "8,8,8,8", "--seeds", "(0,0,0,0);(1,0,0,0)"): {
+        "text": "9289f053c3f629498f8129429dccc8ec620ee38d54331faf5bbe65f1cef115f7",
+        "json": "ffbac939c49d4b73d28f8167b229d4c5abd7b2797328f3956a96b2bebfe557fe",
+        "csv": "cd9b95b50f35c6068863c20f37a57f4340eb3a9a6df614a4de0b352e8c873bbf",
+    },
+    ("--p", "11", "--lengths", "5,2,1,1,1", "--seeds", "(0,0,0,0,0);(1,1,0,0,0)"): {
+        "text": "8442cc090751751bf8f19d8efd4e2a2e48b8eb6a24e1c017c8c317774b3fcf4f",
+        "json": "e2526d89565df338cb418bcc460bd887220d2d944aba94b71563897689227340",
+        "csv": "767245b203cab781de5544ccc78a08929e787e05f411ea43bee186f455955032",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", CONSTRUCT_WIDE_STDOUT_SHA256, ids=lambda a: a[-3])
+def test_construct_wide_ring_stdout_pinned(capsys, argv, fmt):
+    code, out, _ = run(capsys, "construct", *argv, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CONSTRUCT_WIDE_STDOUT_SHA256[argv][fmt]
+
+
+def _cli_process(argv, stdout, preexec_fn=None):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.run([sys.executable, "-m", "multicyclic.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, preexec_fn=preexec_fn, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--p", "3", "--m", "2", "--lengths", "8,8,8,8",
+     "--seeds", "(0,0,0,0);(1,0,0,0)"),
+    ("reproduce",),
+], ids=lambda a: a[0])
+def test_stdout_closed_by_reader_exits_1(argv):
+    # the pipe has no reader from the start, so every write to it fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+
+
+def test_started_without_stdout_exits_0():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    proc = _cli_process(("reproduce",), None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0, proc.stderr

@@ -116,7 +116,8 @@ def test_combinatorial_form_reference(ring3):
 
 
 def test_combinatorial_form_rejects_non_idempotent(ring3):
-    e = primitive_idempotent(ring3, (0, 0, 0)).scale(2)
+    e = primitive_idempotent(ring3, (0, 0, 0))
+    e = e + e
     with pytest.raises(NotIdempotent):
         combinatorial_form(e)
 

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicyclic import Field, Ring, fourier
 from multicyclic.errors import (
@@ -12,9 +14,22 @@ from multicyclic.errors import (
     OrderNotDividing,
     RingTooLarge,
 )
-from multicyclic.ring import MAX_AXIS, MAX_N
+from multicyclic.ring import MAX_AXIS, MAX_N, Poly
 
-from conftest import one_hot
+from conftest import (
+    enumerate_rings,
+    graded_lex_monomials,
+    monomial_name,
+    one_hot,
+    ravel_gather,
+    term_loop_str,
+)
+
+# every small ring, and r = 4 and r = 5 rings with lengths >= 3, whose
+# names carry powers such as x1^2x3
+ORDER_RINGS = enumerate_rings() + [
+    Ring(Field(7), (3, 3, 3, 3)), Ring(Field(5), (4, 4, 4, 4)),
+    Ring(Field(7), (6, 3, 3, 3, 3)), Ring(Field(3, 2), (4, 4, 4, 4, 4))]
 
 
 def test_ring_new_valid(ring3):
@@ -75,6 +90,40 @@ def test_monomial_order_graded_lex(ring3):
         "1", "x", "y", "z", "xy", "xz", "yz", "xyz"]
 
 
+@pytest.mark.parametrize("ring", ORDER_RINGS, ids=repr)
+def test_monomial_table_matches_oracle(ring):
+    monomials = graded_lex_monomials(ring.lengths)
+    assert ring.monomials == monomials
+    assert all(type(x) is int for e in ring.monomials for x in e)
+    assert np.array_equal(ring._gather, ravel_gather(ring.lengths, monomials))
+    names = tuple(monomial_name(ring.r, e) for e in monomials)
+    assert ring.labels == names
+    assert [ring.monomial_str(e) for e in monomials] == list(names)
+
+
+def test_labels_of_wide_rings():
+    assert Ring(Field(7), (3, 3, 3, 3)).labels[:8] == (
+        "1", "x1", "x2", "x3", "x4", "x1^2", "x1x2", "x1x3")
+    ring = Ring(Field(7), (6, 3, 3, 3, 3))
+    assert ring.monomial_str((2, 0, 1, 0, 2)) == "x1^2x3x5^2"
+    assert ring.labels[-1] == "x1^5x2^2x3^2x4^2x5^2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_str_matches_oracle(data):
+    ring = data.draw(st.sampled_from(ORDER_RINGS), label="ring")
+    coeff = st.integers(1, ring.field.q - 1)
+    at = data.draw(st.lists(st.integers(1, ring.N - 1), min_size=1,
+                            max_size=12, unique=True))
+    flat = np.zeros(ring.N, dtype=np.int64)
+    flat[at] = data.draw(st.lists(coeff, min_size=len(at), max_size=len(at)))
+    flat[at[0]] = 1
+    flat[0] = data.draw(coeff)
+    f = Poly(ring, flat.reshape(ring.lengths))
+    assert str(f) == term_loop_str(f)
+
+
 def test_mul_identity(ring3):
     rng = random.Random(0)
     for _ in range(10):
@@ -105,7 +154,7 @@ def test_ctx_mismatch(f3, f5):
 
 
 def test_evaluate_constant(ring3):
-    c = ring3.one().scale(2)
+    c = ring3.monomial((0, 0, 0), 2)
     assert c((1, 1, 1)) == 2
     assert c((2, 2, 2)) == 2
 
@@ -192,5 +241,5 @@ def test_degenerate_axis(f3):
 def test_str_canonical(ring3):
     assert str(ring3.zero()) == "0"
     assert str(ring3.one()) == "1"
-    f = ring3.monomial((1, 1, 0)) + ring3.monomial((1, 0, 0)).scale(2)
+    f = ring3.monomial((1, 1, 0)) + ring3.monomial((1, 0, 0), 2)
     assert str(f) == "2x + xy"
