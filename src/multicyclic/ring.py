@@ -65,22 +65,24 @@ class Ring:
         self.monomials = list(zip(*box[:, self._gather].tolist()))
 
     @cached_property
+    def _axis_names(self) -> tuple:
+        # per axis, the name of X_t^e for each e < n_t ("" for e = 0)
+        if self.r <= len(_VAR_NAMES_SHORT):
+            names = _VAR_NAMES_SHORT
+        else:
+            names = [f"x{t + 1}" for t in range(self.r)]
+        return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, n))
+                     for name, n in zip(names, self.lengths))
+
+    @cached_property
     def labels(self) -> tuple:
         """The name of every monomial, in the monomial order."""
         return tuple(map(self.monomial_str, self.monomials))
 
     def monomial_str(self, exps) -> str:
-        if self.r <= len(_VAR_NAMES_SHORT):
-            names = _VAR_NAMES_SHORT
-        else:
-            names = [f"x{t + 1}" for t in range(self.r)]
-        parts = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "".join(parts) if parts else "1"
+        """The name of X^exps: one factor per axis with a nonzero exponent,
+        "1" for the constant monomial."""
+        return "".join(names[e] for names, e in zip(self._axis_names, exps)) or "1"
 
     def in_box(self, idx) -> bool:
         return (len(idx) == self.r

@@ -1,6 +1,7 @@
-"""`search` builds one code per translation class: translations keep d,
-the class key groups exactly the translates, and the ranked rows equal
-the per-candidate oracle in conftest on every small ring of the family."""
+"""`search` weighs one code per translation class in one batched pass:
+translations keep d, the class key groups exactly the translates, the
+class pass gives `construct`'s d, and the ranked rows equal the
+per-candidate oracle in conftest on every small ring of the family."""
 
 import dataclasses
 import itertools
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicyclic import DefiningSet, SearchRow, codes, construct, search
-from multicyclic.codes import DEFAULT_BUDGET, translation_keys
+from multicyclic import DefiningSet, Field, Ring, SearchRow, codes, construct, search
+from multicyclic.codes import DEFAULT_BUDGET, class_distances, translation_keys
 
 from conftest import (
     construct_every_candidate_search,
@@ -29,6 +30,8 @@ IDS = [f"q{r.field.q}-{'x'.join(map(str, r.lengths))}" for r in RINGS]
 ORACLE_CANDIDATES = 300
 # exhaustive_min_distance forms every one of the q^K codewords
 EXHAUSTIVE_CODEWORDS = 3_000
+# q^K for the class-pass oracle: K = N on the 2x2x2 box over GF(3)
+CLASS_CODEWORDS = 3 ** 8
 
 
 def translate(S, a, lengths):
@@ -144,19 +147,62 @@ def test_sampled_search_matches_oracle(ring3, monkeypatch):
             construct_every_candidate_search(ring3, K, seed=K))
 
 
-def test_search_constructs_one_code_per_class(ring3, monkeypatch):
-    built = []
+def test_search_weighs_one_row_per_class_and_constructs_nothing(ring3,
+                                                                monkeypatch):
+    built, weighed = [], []
 
-    def counting(ring, seeds, budget=DEFAULT_BUDGET):
+    def counting_construct(ring, seeds, budget=DEFAULT_BUDGET):
         built.append(sorted(seeds))
         return construct(ring, seeds, budget=budget)
 
-    monkeypatch.setattr(codes, "construct", counting)
+    def counting_pass(ring, sets):
+        weighed.extend(sets.tolist())
+        return class_distances(ring, sets)
+
+    monkeypatch.setattr(codes, "construct", counting_construct)
+    monkeypatch.setattr(codes, "class_distances", counting_pass)
     rows = search(ring3, 3)
     assert len(rows) == 56
+    assert built == []
     # the 56 3-subsets of the 2x2x2 box fall into 7 translation classes
-    assert len(built) == 7
-    assert len({translation_key(S, ring3.lengths) for S in built}) == 7
+    assert len(weighed) == 7
+    assert len({translation_key([tuple(x) for x in S], ring3.lengths)
+                for S in weighed}) == 7
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_class_distances_match_construct(ring, data):
+    q = ring.field.q
+    # K = N where q^N is in reach, else the largest K that is
+    K_max = max(k for k in range(1, ring.N + 1) if q ** k <= CLASS_CODEWORDS)
+    for K in sorted({1, K_max, data.draw(st.integers(1, K_max), label="K")}):
+        sets = data.draw(st.lists(
+            st.lists(st.sampled_from(ring.monomials), min_size=K, max_size=K,
+                     unique=True), min_size=1, max_size=4), label="sets")
+        got = class_distances(ring, np.array(sets, dtype=np.int64))
+        assert got.tolist() == [construct(ring, S).d for S in sets]
+        if math.comb(ring.N, K) <= ORACLE_CANDIDATES:
+            assert ranked(search(ring, K)) == ranked(
+                construct_every_candidate_search(ring, K))
+
+
+def test_class_blocks_bound_memory(monkeypatch):
+    # 12x12 / GF(13), K = 5: (13^5 - 1)/12 = 30,941 messages of length 144,
+    # 4.5 million codeword entries (35 MB of int64) for each class
+    ring = Ring(Field(13), (12, 12))
+    monkeypatch.setattr(codes, "SAMPLES", 3)
+    tracemalloc.start()
+    try:
+        rows = search(ring, 5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 3
+    assert peak < 16 * 2 ** 20
+    assert [r.d for r in rows] == [
+        construct(ring, r.defining_set.sorted()).d for r in rows]
 
 
 def test_search_rows_are_frozen(ring3):

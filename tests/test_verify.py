@@ -34,3 +34,20 @@ def test_verify_cli_exits_2_before_building_idempotents(capsys, no_idempotents):
     assert out.out == ""
     assert "N^2 = 4294967296 coefficients exceeds the limit 1048576" in out.err
 
+
+
+def test_orthogonality_reports_the_first_failing_pair(monkeypatch):
+    # e_2 + e_6 and e_4 + e_6 stay idempotent but share e_6: the pairs
+    # (2, 4), (2, 6) and (4, 6) fail, and (2, 4) comes first
+    ring = Ring(Field(3), (2, 2, 2))
+    m = ring.monomials
+    build = verify.primitive_idempotent
+
+    def overlapping(ring, index):
+        e = build(ring, index)
+        return e + build(ring, m[6]) if index in (m[2], m[4]) else e
+
+    monkeypatch.setattr(verify, "primitive_idempotent", overlapping)
+    results = {name: (ok, detail) for name, ok, detail in property_suite(ring)}
+    assert results["idempotence"] == (True, "")
+    assert results["orthogonality"] == (False, f"e_{m[2]} * e_{m[4]} != 0")
