@@ -6,12 +6,13 @@ from .codes import (
     SearchRow,
     construct,
     k_profile,
-    min_distance,
+    orbit_distance,
     product_bound,
     search,
+    weight_distribution,
 )
 from .gf import Field
-from .linalg import GfMatrix, in_span, rank, rref
+from .linalg import GfMatrix, rank, rref
 from .orbits import (
     DefiningSet,
     Orbit,
@@ -35,9 +36,9 @@ __all__ = [
     "CodeRecord", "DefiningSet", "Field", "GfMatrix", "Orbit", "Poly",
     "Ring", "SearchRow", "Spectrum", "all_orbits", "closure", "combinatorial_form",
     "construct", "fourier", "fourier_inverse", "frobenius",
-    "idempotent_from_set", "in_span", "k_profile", "min_distance",
-    "orbit_of", "primitive_idempotent", "product_bound", "rank", "rref",
-    "search", "theta",
+    "idempotent_from_set", "k_profile", "orbit_distance", "orbit_of",
+    "primitive_idempotent", "product_bound", "rank", "rref", "search",
+    "theta", "weight_distribution",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,13 @@ scan of monomial multiples), generator matrix, exact minimum distance and
 the product bound, plus exhaustive/randomized search over orbit unions,
 which weighs the codes of all its translation classes in one batched
 pass over the primitive idempotents of each defining set.
+
+The exact distance of `construct` weighs one codeword per orbit of the
+translations and scalars, which act diagonally on messages over the
+primitive idempotents {e_j : j in S}: per message support, the orbits
+are the cosets of a lattice of discrete logs, and the box under the
+diagonal of its Hermite normal form is a transversal.  The orbit sizes
+give the weight distribution too.
 """
 
 from __future__ import annotations
@@ -24,14 +31,14 @@ from .errors import (
     RankDeficient,
     ZeroIdempotent,
 )
-from .linalg import GfMatrix, RowReducer, rank, rref
+from .linalg import GfMatrix, RowReducer, rref
 from .orbits import DefiningSet, closure
 from .ring import Poly, Ring
 from .spectral import fourier, idempotent_from_set
 
 DEFAULT_BUDGET = 3_000_000
-# Field elements in one span table of min_distance: 8 MB of int64, so a
-# table plus the boolean mask of one comparison stays near 10 MB.
+# Field elements in one table: 8 MB of int64.  `verify` refuses a ring
+# whose N x N tables would exceed it.
 TABLE_LIMIT = 1 << 20
 # search ranks every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
 EXHAUSTIVE_LIMIT = 100_000
@@ -108,72 +115,175 @@ def generator_matrix(basis, ring: Ring) -> GfMatrix:
     return GfMatrix(ring.field, rows.reshape(-1, ring.N))
 
 
-def _projective_codewords(fld, rows):
-    """Yield pairs (T, v) whose differences t - v, over the rows t of T and
-    all pairs, are one nonzero multiple of each nonzero codeword (with
-    multiplicity when rows are dependent): g_j + c or its negative, for
-    every row g_j and every c in the span of the rows before it (a span
-    table is closed under negation).
-
-    The span of the leading rows is built level by level in a table of at
-    most TABLE_LIMIT elements (if one level is larger, the multiples of the
-    first row are formed in chunks, again for each offset); the codewords
-    of the remaining rows come from the same enumeration applied to them,
-    and each is formed once, as an offset v paired with the whole table.
-    """
-    k, n = rows.shape
-    q = fld.q
-    if q * n > TABLE_LIMIT:
-        step = max(1, TABLE_LIMIT // n)
-        yield rows[:1], np.zeros(n, dtype=np.int64)
-        if k > 1:
-            scalars = np.arange(q, dtype=np.int64)[:, None]
-            for T, u in _projective_codewords(fld, rows[1:]):
-                for v in fld.sub(T, u):
-                    for a in range(0, q, step):
-                        yield fld.mul(scalars[a:a + step], rows[0]), v
-        return
-    inner = 1
-    while inner < k and q ** (inner + 1) * n <= TABLE_LIMIT:
-        inner += 1
-    scalars = np.arange(q, dtype=np.int64)[:, None, None]
-    table = np.zeros((1, n), dtype=np.int64)
-    for j in range(inner):
-        yield table, rows[j]
-        if j + 1 < k:
-            multiples = fld.mul(scalars, rows[j])
-            table = fld.add(multiples, table).reshape(-1, n)
-    if inner < k:
-        for T, u in _projective_codewords(fld, rows[inner:]):
-            for v in fld.sub(T, u):
-                yield table, v
+def _idempotent_rows(ring: Ring, sets) -> np.ndarray:
+    """rows[c, k]: the coefficients of the primitive idempotent e_j,
+    j = sets[c, k], for (C, K, r) index coordinates: the outer product of
+    the per-axis inverse-transform rows n_t^-1 w_t^(-j_t m_t), each axis
+    appended as the last (fastest) one, so the N coefficients come in C
+    order, which a weight ignores."""
+    fld = ring.field
+    rows = np.ones(sets.shape[:2] + (1,), dtype=np.int64)
+    for t, (_, inv) in enumerate(ring._axis_tables):
+        rows = fld.mul(rows[..., None], inv[sets[:, :, t], None, :])
+        rows = rows.reshape(len(sets), sets.shape[1], -1)
+    return rows
 
 
-def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum Hamming weight over all nonzero codewords.
+def _egcd(a: int, b: int):
+    """(g, u, v) with u a + v b = g = gcd(a, b)."""
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        quot, a, b = a // b, b, a % b
+        u0, u1 = u1, u0 - quot * u1
+        v0, v1 = v1, v0 - quot * v1
+    return a, u0, v0
 
-    Exact, by projective enumeration: every nonzero codeword is a nonzero
-    scalar times one whose message has last nonzero coordinate 1, so only
-    (q^K - 1)/(q - 1) codewords t - v are weighed, each by comparing a
-    span-table row t with an offset v, never by field additions.  The
-    budget still bounds q^K.  Dependent rows give 0, the weight of the
-    zero codeword they produce.
-    """
-    fld = G.field
-    q, K = fld.q, G.rows
-    total = q ** K
-    if total > budget:
-        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
-    if K == 0:
+
+def _reduce_column(rows, i: int, M: int):
+    """One column step of the Hermite normal form of the lattice spanned
+    by `rows` (lists of residues mod M) and M Z^k: (h_i, rows spanning its
+    vectors that vanish on column i and on the columns reduced before).
+    Over the reduced columns, the box 0 <= x_i < h_i is a transversal of
+    the lattice's cosets (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).
+
+    Unimodular extended-gcd steps fold the rows with a nonzero entry
+    into one pivot row; with M e_i it gives h_i = gcd(pivot_i, M) and the
+    lattice vector (M / h_i) pivot, zero in column i.  The pivot row is
+    then set aside."""
+    pivot = None
+    rest = []
+    for row in rows:
+        a = row[i]
+        if not a:
+            rest.append(row)
+        elif pivot is None:
+            pivot = row
+        else:
+            b = pivot[i]
+            g, u, v = _egcd(b, a)
+            # the unimodular [[u, v], [a/g, -b/g]] on (pivot, row)
+            pivot, row = ([(u * x + v * y) % M for x, y in zip(pivot, row)],
+                          [(a // g * x - b // g * y) % M for x, y in zip(pivot, row)])
+            rest.append(row)
+    if pivot is None:
+        return M, rest
+    h = math.gcd(pivot[i], M)
+    rest.append([M // h * x % M for x in pivot])
+    return h, [row for row in rest if any(row)]
+
+
+def _orbit_boxes(ring: Ring, S):
+    """(U, h) for every nonempty support U of a message over {e_j : j in
+    S} (positions in S, increasing): the messages with support exactly U
+    fall into prod(h) orbits of the translations and scalars, one per
+    point of the box 0 <= x_i < h_i of discrete logs.
+
+    A translation by one along axis t multiplies e_j by w_t^(j_t), that
+    is, adds j_t (q-1)/n_t to the log of its coefficient, and a scalar
+    adds the same to every log.  The all-ones vector gives h = 1 on U[0]
+    and leaves the translation vectors minus their value there, with
+    (q-1) Z^U.  Row operations commute with dropping the coordinates
+    outside U, so the rows keep all of S, and U + (i,) reduces column i
+    of the rows U leaves: one column per support, depth first."""
+    M = ring.field.q - 1
+    K = len(S)
+    steps = [[j[t] * (M // n) for j in S] for t, n in enumerate(ring.lengths)]
+    stack = []
+    for u in reversed(range(K)):
+        rows = [[(x - a[u]) % M for x in a] for a in steps]
+        stack.append(((u,), [1], [row for row in rows if any(row)]))
+    while stack:
+        U, h, rows = stack.pop()
+        yield U, h
+        for i in reversed(range(U[-1] + 1, K)):
+            hi, rest = _reduce_column(rows, i, M)
+            stack.append((U + (i,), h + [hi], rest))
+
+
+def _orbit_blocks(ring: Ring, S):
+    """Weigh one codeword per orbit of the translations and scalars on
+    the nonzero messages over {e_j : j in S}, in blocks of at most
+    CLASS_BLOCK codeword entries (one codeword if N is larger); yield
+    (weights, support, sizes) per block, where support[i] indexes sizes,
+    the orbit size (q-1)^|U| / prod(h) of each support in the chunk.
+
+    The supports come in chunks of CLASS_BLOCK // K, and their
+    representatives are decoded per block from a running index.  The
+    codeword of logs x is sum_j g^(x_j) e_j, formed in the log domain:
+    exp[x_j + log e_j(m)] from a doubled exp table needs no modulo, and
+    an absent coordinate reads x_j = 2(q-1), past which the table holds
+    zeros.  In characteristic 2 the terms are XORed; otherwise their
+    base-p digits are summed and a coordinate is zero when every digit
+    sum is 0 mod p."""
+    fld = ring.field
+    p, M, N = fld.p, fld.q - 1, ring.N
+    S = sorted(S)
+    K = len(S)
+    logs = fld._log[_idempotent_rows(
+        ring, np.array(S, dtype=np.int64).reshape(1, K, ring.r))[0]]
+    table = np.concatenate([fld._exp, fld._exp, np.zeros(M, dtype=np.int64)])
+    if p > 2:
+        table = table // p ** np.arange(fld.m)[:, None] % p
+    rows_per_block = max(1, CLASS_BLOCK // N)
+    boxes = _orbit_boxes(ring, S)
+    while chunk := list(itertools.islice(boxes, max(1, CLASS_BLOCK // K))):
+        counts = [math.prod(h) for _, h in chunk]
+        total = sum(counts)
+        if total >= 1 << 63:
+            raise BudgetExceeded(
+                f"{total} orbit representatives overflow a 64-bit index")
+        sizes = [M ** len(U) // c for (U, _), c in zip(chunk, counts)]
+        # per support and coordinate: radix, stride (the last coordinate
+        # fastest) and the offset 2(q-1) of an absent coordinate
+        radix = []
+        for (U, h), stride in zip(chunk, counts):
+            box = [1] * (2 * K) + [2 * M] * K
+            for i, hi in zip(U, h):
+                stride //= hi
+                box[i], box[K + i], box[2 * K + i] = hi, stride, 0
+            radix += box
+        radix = np.array(radix, dtype=np.int64).reshape(-1, 3, K)
+        counts = np.array(counts, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        for lo in range(0, total, rows_per_block):
+            idx = np.arange(lo, min(lo + rows_per_block, total))
+            support = np.searchsorted(starts, idx, side="right") - 1
+            h, stride, absent = radix[support].transpose(1, 0, 2)
+            X = (idx - starts[support])[:, None] // stride % h + absent
+            acc = np.take(table, X[:, 0, None] + logs[0], axis=-1)
+            for j in range(1, K):
+                term = np.take(table, X[:, j, None] + logs[j], axis=-1)
+                if p == 2:
+                    acc ^= term
+                else:
+                    acc += term
+            nonzero = acc != 0 if p == 2 else (acc % p != 0).any(axis=0)
+            yield np.count_nonzero(nonzero, axis=1), support, sizes
+
+
+def orbit_distance(ring: Ring, S) -> int:
+    """Exact minimum distance of the code of the defining set S, from one
+    codeword per orbit of the translations and scalars (see
+    `_orbit_blocks`): weight is constant on an orbit."""
+    if not len(S):
         raise ZeroIdempotent("zero code has no nonzero codewords")
-    best = G.cols
-    for T, v in _projective_codewords(fld, G.array):
-        best = min(best, int(np.count_nonzero(T != v, axis=1).min()))
-        if best <= 1:
-            # weight 1 ends the search unless dependent rows still hold
-            # a zero codeword further on
-            return 0 if best == 0 or rank(G) < K else 1
-    return best
+    return min(int(weights.min()) for weights, _, _ in _orbit_blocks(ring, S))
+
+
+def weight_distribution(ring: Ring, S) -> list:
+    """A[w], the number of codewords of weight w in the code of S, for
+    w = 0..N: each orbit representative of weight w counts its orbit."""
+    N = ring.N
+    A = [1] + [0] * N
+    if not len(S):
+        return A
+    for weights, support, sizes in _orbit_blocks(ring, S):
+        counts = np.bincount(support * (N + 1) + weights)
+        for i in np.flatnonzero(counts).tolist():
+            s, w = divmod(i, N + 1)
+            A[w] += int(counts[i]) * sizes[s]
+    return A
 
 
 def product_bound(lengths, kp) -> int:
@@ -204,7 +314,7 @@ def bound_applicable(S, lengths, kp) -> bool:
 def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     """Full pipeline: close the seeds under the Frobenius action, build
     the generating idempotent, the basis and generator matrix, and the
-    exact distance when the enumeration fits the budget."""
+    exact distance (`orbit_distance`) when q^K fits the budget."""
     S = closure(seeds, ring.lengths, ring.field.q)
     K = len(S)
     e = idempotent_from_set(ring, S)
@@ -223,7 +333,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     q = ring.field.q
     d = None
     if q ** K <= budget:
-        d = min_distance(G, budget)
+        d = orbit_distance(ring, S)
     if d is not None and d > sb:
         raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
     if d is not None and applicable and d < pb:
@@ -294,14 +404,12 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     (C, K, r) coordinates of C sets of K distinct indices.
 
     Every orbit is a singleton, so the code of S is spanned by the
-    primitive idempotents e_j, j in S: row j is the outer product of the
-    per-axis inverse-transform rows n_t^-1 w_t^(-j_t m_t), flattened in C
-    order, which the weight ignores.  Each of the (q^K - 1)/(q - 1)
-    projective messages is multiplied into the rows of a block of classes
-    at once, and d is the least number of nonzero entries.  A block holds
-    at most CLASS_BLOCK codeword entries (one codeword if N is larger):
-    several classes with all their messages, or one class and a chunk of
-    its messages."""
+    primitive idempotents e_j, j in S (`_idempotent_rows`).  Each of the
+    (q^K - 1)/(q - 1) projective messages is multiplied into the rows of
+    a block of classes at once, and d is the least number of nonzero
+    entries.  A block holds at most CLASS_BLOCK codeword entries (one
+    codeword if N is larger): several classes with all their messages, or
+    one class and a chunk of its messages."""
     fld = ring.field
     sets = np.asarray(sets, dtype=np.int64)
     C, K, _ = sets.shape
@@ -313,14 +421,8 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     whole = _projective_messages(q, K, 0, P) if P * K <= CLASS_BLOCK else None
     best = np.empty(C, dtype=np.int64)
     for c in range(0, C, per_block):
-        block = sets[c:c + per_block]
-        # rows[c, k]: the coefficients of e_j, j = block[c, k], on the
-        # axes so far, each axis appended as the last (fastest) one
-        rows = np.ones(block.shape[:2] + (1,), dtype=np.int64)
-        for t, (_, inv) in enumerate(ring._axis_tables):
-            rows = fld.mul(rows[..., None], inv[block[:, :, t], None, :])
-            rows = rows.reshape(len(block), K, -1)
-        weight = np.full(len(block), N)
+        rows = _idempotent_rows(ring, sets[c:c + per_block])
+        weight = np.full(len(rows), N)
         for lo in range(0, P, step):
             msgs = (whole[lo:lo + step] if whole is not None
                     else _projective_messages(q, K, lo, min(lo + step, P)))

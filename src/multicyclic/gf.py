@@ -3,8 +3,10 @@
 Elements are canonical integers in [0, q): the base-p encoding of the
 polynomial representation.  Prime fields (m = 1) use direct modular
 arithmetic; extension fields multiply through log/antilog tables built
-once per field, and characteristic 2 adds by XOR.  Public operations take
-plain ints or numpy integer arrays, give an int for scalars, and are pure.
+once per field (prime fields build them too, for the log-domain codeword
+sums of `codes`), and characteristic 2 adds by XOR.  Public operations
+take plain ints or numpy integer arrays, give an int for scalars, and
+are pure.
 """
 
 from __future__ import annotations
@@ -107,14 +109,11 @@ class Field:
         if m == 1:
             # every monic modulus of degree 1 gives the same GF(p)
             self.modulus = ()
-            self._exp = None
-            self._log = None
-            self.generator = self._find_generator(lambda a, b: (a * b) % p)
         else:
             self.modulus = mod or self._default_modulus()
             self._alpha_pow_digits = self._alpha_powers()
-            self.generator = self._find_generator(self._raw_mul)
-            self._build_tables()
+        self.generator = self._find_generator()
+        self._build_tables()
 
     # -- construction ------------------------------------------------------
 
@@ -140,26 +139,27 @@ class Field:
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
+        if m == 1:
+            return a * b % p
         digits = _poly_mulmod(_digits(a, p, m), _digits(b, p, m), self.modulus, p)
         return sum(c * p ** i for i, c in enumerate(digits))
 
-    def _find_generator(self, mul) -> int:
+    def _find_generator(self) -> int:
         order = self.q - 1
         if order == 1:
             return 1
         factors = _prime_factors(order)
         for g in range(2, self.q):
-            if all(self._raw_pow(g, order // f, mul) != 1 for f in factors):
+            if all(self._raw_pow(g, order // f) != 1 for f in factors):
                 return g
         raise NotPrime("no generator found")  # unreachable for a field
 
-    @staticmethod
-    def _raw_pow(a, e, mul):
+    def _raw_pow(self, a, e):
         acc = 1
         while e:
             if e & 1:
-                acc = mul(acc, a)
-            a = mul(a, a)
+                acc = self._raw_mul(acc, a)
+            a = self._raw_mul(a, a)
             e >>= 1
         return acc
 

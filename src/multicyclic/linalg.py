@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .gf import Field
 
 
@@ -75,29 +74,6 @@ def rref(M: GfMatrix):
 
 def rank(M: GfMatrix) -> int:
     return rref(M)[1]
-
-
-def in_span(v, basis: GfMatrix):
-    """Coefficients alpha with v = sum alpha_i * row_i, or None.
-
-    Solved by reducing the augmented system basis^T * alpha = v.
-    """
-    fld = basis.field
-    v = np.asarray(v, dtype=np.int64)
-    if basis.rows == 0:
-        return np.zeros(0, dtype=np.int64) if not v.any() else None
-    if v.shape != (basis.cols,):
-        raise DimensionMismatch(
-            f"vector length {v.shape} incompatible with {basis.cols} columns")
-    aug = GfMatrix(fld, np.hstack([basis.array.T, v[:, None]]))
-    R, _, pivots = rref(aug)
-    k = basis.rows
-    if k in pivots:
-        return None
-    alpha = np.zeros(k, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        alpha[c] = R.array[r, k]
-    return alpha
 
 
 class RowReducer:

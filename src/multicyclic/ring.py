@@ -202,19 +202,6 @@ class Poly:
         return Poly(self.ring,
                     np.roll(self.coeffs, tuple(exps), axis=tuple(range(self.ring.r))))
 
-    def __call__(self, point):
-        """Evaluate at a point, Horner-style along each axis."""
-        if len(point) != self.ring.r:
-            raise ArityMismatch(f"expected {self.ring.r} coordinates, got {len(point)}")
-        fld = self.ring.field
-        arr = self.coeffs
-        for x in reversed(list(point)):
-            acc = arr[..., -1]
-            for k in range(arr.shape[-1] - 2, -1, -1):
-                acc = fld.add(fld.mul(acc, x), arr[..., k])
-            arr = acc
-        return int(arr)
-
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 

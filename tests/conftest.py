@@ -10,12 +10,14 @@ from multicyclic import Field, Ring, codes, construct, fourier, fourier_inverse
 from multicyclic import orbits as orb_mod
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
 from multicyclic.errors import (
+    ArityMismatch,
     BudgetExceeded,
+    DimensionMismatch,
     Infeasible,
     RankDeficient,
     ZeroIdempotent,
 )
-from multicyclic.linalg import GfMatrix, RowReducer, in_span
+from multicyclic.linalg import GfMatrix, RowReducer, rank, rref
 from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
 
@@ -316,6 +318,149 @@ def exhaustive_min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
         if best == 1:
             break
     return best
+
+
+def _projective_codewords(fld, rows):
+    """Yield pairs (T, v) whose differences t - v, over the rows t of T and
+    all pairs, are one nonzero multiple of each nonzero codeword (with
+    multiplicity when rows are dependent): g_j + c or its negative, for
+    every row g_j and every c in the span of the rows before it (a span
+    table is closed under negation).
+
+    The span of the leading rows is built level by level in a table of at
+    most `codes.TABLE_LIMIT` elements (if one level is larger, the
+    multiples of the first row are formed in chunks, again for each
+    offset); the codewords of the remaining rows come from the same
+    enumeration applied to them, and each is formed once, as an offset v
+    paired with the whole table.
+    """
+    k, n = rows.shape
+    q = fld.q
+    limit = codes.TABLE_LIMIT
+    if q * n > limit:
+        step = max(1, limit // n)
+        yield rows[:1], np.zeros(n, dtype=np.int64)
+        if k > 1:
+            scalars = np.arange(q, dtype=np.int64)[:, None]
+            for T, u in _projective_codewords(fld, rows[1:]):
+                for v in fld.sub(T, u):
+                    for a in range(0, q, step):
+                        yield fld.mul(scalars[a:a + step], rows[0]), v
+        return
+    inner = 1
+    while inner < k and q ** (inner + 1) * n <= limit:
+        inner += 1
+    scalars = np.arange(q, dtype=np.int64)[:, None, None]
+    table = np.zeros((1, n), dtype=np.int64)
+    for j in range(inner):
+        yield table, rows[j]
+        if j + 1 < k:
+            multiples = fld.mul(scalars, rows[j])
+            table = fld.add(multiples, table).reshape(-1, n)
+    if inner < k:
+        for T, u in _projective_codewords(fld, rows[inner:]):
+            for v in fld.sub(T, u):
+                yield table, v
+
+
+def min_distance(G: GfMatrix, budget: int = DEFAULT_BUDGET) -> int:
+    """Projective oracle: the minimum Hamming weight over all nonzero
+    codewords of the rows of G.
+
+    Every nonzero codeword is a nonzero scalar times one whose message has
+    last nonzero coordinate 1, so only (q^K - 1)/(q - 1) codewords t - v
+    are weighed, each by comparing a span-table row t with an offset v.
+    Raises BudgetExceeded when q^K > budget.  Dependent rows give 0, the
+    weight of the zero codeword they produce.
+    """
+    fld = G.field
+    q, K = fld.q, G.rows
+    total = q ** K
+    if total > budget:
+        raise BudgetExceeded(f"{total} codewords exceed budget {budget}")
+    if K == 0:
+        raise ZeroIdempotent("zero code has no nonzero codewords")
+    best = G.cols
+    for T, v in _projective_codewords(fld, G.array):
+        best = min(best, int(np.count_nonzero(T != v, axis=1).min()))
+        if best <= 1:
+            # weight 1 ends the search unless dependent rows still hold
+            # a zero codeword further on
+            return 0 if best == 0 or rank(G) < K else 1
+    return best
+
+
+def exhaustive_weight_distribution(G: GfMatrix) -> list:
+    """Oracle: A[w], the number of the q^K codewords of the rows of G with
+    weight w, by forming every one of them."""
+    fld = G.field
+    q, K = fld.q, G.rows
+    A = [0] * (G.cols + 1)
+    idx = np.arange(q ** K, dtype=np.int64)
+    msgs = np.stack([(idx // q ** t) % q for t in range(K)], axis=1)
+    weights = np.count_nonzero(np.asarray(fld.dot(msgs, G.array)), axis=1)
+    for w, c in enumerate(np.bincount(weights, minlength=G.cols + 1).tolist()):
+        A[w] += c
+    return A
+
+
+def macwilliams_transform(A, q: int) -> list:
+    """The weight distribution of the dual code, from A by the MacWilliams
+    identity: B_w = |C|^-1 sum_i A_i P_w(i), with the Krawtchouk
+    polynomial P_w(i) = sum_j (-1)^j (q-1)^(w-j) C(i, j) C(n-i, w-j)."""
+    n = len(A) - 1
+    size = sum(A)
+    B = []
+    for w in range(n + 1):
+        total = sum(
+            a * sum((-1) ** j * (q - 1) ** (w - j) * math.comb(i, j)
+                    * math.comb(n - i, w - j) for j in range(w + 1))
+            for i, a in enumerate(A) if a)
+        if total % size:
+            raise ValueError(f"B_{w} = {total}/{size} is not an integer")
+        B.append(total // size)
+    return B
+
+
+def dual_defining_set(ring, S) -> list:
+    """{j : -j not in S}, the defining set of the dual code."""
+    neg = {tuple(-i % n for i, n in zip(j, ring.lengths)) for j in S}
+    return [j for j in ring.monomials if j not in neg]
+
+
+def in_span(v, basis: GfMatrix):
+    """Oracle: coefficients alpha with v = sum alpha_i * row_i, or None,
+    by reducing the augmented system basis^T * alpha = v."""
+    fld = basis.field
+    v = np.asarray(v, dtype=np.int64)
+    if basis.rows == 0:
+        return np.zeros(0, dtype=np.int64) if not v.any() else None
+    if v.shape != (basis.cols,):
+        raise DimensionMismatch(
+            f"vector length {v.shape} incompatible with {basis.cols} columns")
+    aug = GfMatrix(fld, np.hstack([basis.array.T, v[:, None]]))
+    R, _, pivots = rref(aug)
+    k = basis.rows
+    if k in pivots:
+        return None
+    alpha = np.zeros(k, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        alpha[c] = R.array[r, k]
+    return alpha
+
+
+def evaluate(f, point) -> int:
+    """Oracle: f at a point of F_q^r, Horner-style along each axis."""
+    if len(point) != f.ring.r:
+        raise ArityMismatch(f"expected {f.ring.r} coordinates, got {len(point)}")
+    fld = f.ring.field
+    arr = f.coeffs
+    for x in reversed(list(point)):
+        acc = arr[..., -1]
+        for k in range(arr.shape[-1] - 2, -1, -1):
+            acc = fld.add(fld.mul(acc, x), arr[..., k])
+        arr = acc
+    return int(arr)
 
 
 def rank_scan_k_profile(e):

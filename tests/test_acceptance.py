@@ -18,13 +18,12 @@ from multicyclic import (
     fourier,
     fourier_inverse,
     idempotent_from_set,
-    in_span,
     primitive_idempotent,
     rref,
     search,
 )
 
-from conftest import enumerate_rings, one_hot
+from conftest import enumerate_rings, in_span, one_hot
 
 REFERENCE_SEEDS_K3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 REFERENCE_SEEDS_K4 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]

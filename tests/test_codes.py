@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -17,16 +18,21 @@ from multicyclic import (
     construct,
     fourier,
     idempotent_from_set,
-    in_span,
     k_profile,
-    min_distance,
+    orbit_distance,
     rank,
     rref,
     search,
     theta,
+    weight_distribution,
 )
 from multicyclic import codes
-from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, literal_monomial_sum
+from multicyclic.codes import (
+    BASIS_BOX,
+    BASIS_GREEDY,
+    DEFAULT_BUDGET,
+    literal_monomial_sum,
+)
 from multicyclic.errors import (
     BoundViolated,
     BudgetExceeded,
@@ -35,8 +41,13 @@ from multicyclic.errors import (
 )
 
 from conftest import (
+    dual_defining_set,
     enumerate_rings,
     exhaustive_min_distance,
+    exhaustive_weight_distribution,
+    in_span,
+    macwilliams_transform,
+    min_distance,
     one_hot,
     spectral_min_distance,
 )
@@ -234,6 +245,131 @@ def test_distance_codes_pinned(p, m, lengths, seeds, params):
     assert (rec.n, rec.K, rec.d) == params
 
 
+# the 3x2 box on 15x15 / GF(16), and on 8x8 / GF(9) with (3, 0): q^K is
+# over the default budget, so `construct` prints d as "?" without a raise
+OUT_OF_REACH_CODES = [
+    (2, 4, (15, 15), DISTANCE_CODES[1][3], 20_000_000, (225, 6, 182)),
+    (3, 2, (8, 8), DISTANCE_CODES[2][3] + [(3, 0)], 5_000_000, (64, 7, 40)),
+]
+
+
+@pytest.mark.parametrize("p,m,lengths,seeds,budget,params", OUT_OF_REACH_CODES,
+                         ids=[f"{list(c[5])}_{c[0] ** c[1]}" for c in OUT_OF_REACH_CODES])
+def test_out_of_reach_codes_pinned(p, m, lengths, seeds, budget, params):
+    ring = Ring(Field(p, m), lengths)
+    assert construct(ring, seeds).d is None
+    rec = construct(ring, seeds, budget=budget)
+    assert (rec.n, rec.K, rec.d) == params
+    assert min_distance(rec.generator, budget=budget) == rec.d
+
+
+# the exhaustive distribution forms q^K codewords, the projective oracle
+# (q^K - 1)/(q - 1), and the orbit route visits the 2^K supports
+EXHAUSTIVE_CODEWORDS = 3 ** 8
+ORACLE_CODEWORDS = 100_000
+ORBIT_SUPPORTS = 1 << 10
+
+
+def _orbit_feasible(q, K):
+    return 2 ** K <= ORBIT_SUPPORTS and q ** K <= 10 ** 6
+
+
+@pytest.mark.parametrize("ring", enumerate_rings(), ids=repr)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_orbit_route_matches_oracles_on_every_ring(ring, data):
+    q, N = ring.field.q, ring.N
+    K = data.draw(st.one_of(st.just(1), st.just(N), st.integers(1, N)), label="K")
+    S = data.draw(st.lists(st.sampled_from(ring.monomials), min_size=K,
+                           max_size=K, unique=True), label="S")
+    if not _orbit_feasible(q, K):
+        return
+    A = weight_distribution(ring, S)
+    d = orbit_distance(ring, S)
+    assert sum(A) == q ** K
+    assert d == min(w for w in range(1, N + 1) if A[w])
+    if q ** K <= DEFAULT_BUDGET:
+        assert construct(ring, S).d == d
+    if q ** K <= ORACLE_CODEWORDS:
+        G = construct(ring, S, budget=0).generator
+        assert min_distance(G) == d
+        if q ** K <= EXHAUSTIVE_CODEWORDS:
+            assert exhaustive_min_distance(G) == d
+            assert exhaustive_weight_distribution(G) == A
+    T = dual_defining_set(ring, S)
+    if _orbit_feasible(q, len(T)):
+        assert macwilliams_transform(A, q) == weight_distribution(ring, T)
+
+
+def _orbit_oracle(x, steps, M):
+    """The orbit of the log vector x under the scalars (all coordinates
+    plus c) and the translations (plus s times steps[t]), by closure."""
+    seen = {tuple(x)}
+    todo = [tuple(x)]
+    gens = [[1] * len(x)] + steps
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            z = tuple((a + b) % M for a, b in zip(y, g))
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+@pytest.mark.parametrize("p,m,lengths", [(5, 1, (4, 2)), (3, 2, (8,)),
+                                         (3, 2, (4, 4)), (7, 1, (6, 3)),
+                                         (2, 2, (3, 3)), (13, 1, (12,))])
+def test_orbit_boxes_are_transversals(p, m, lengths):
+    # every message with support U lies in the orbit of exactly one box
+    # point, and each orbit has (q-1)^|U| / prod(h) messages
+    ring = Ring(Field(p, m), lengths)
+    M = ring.field.q - 1
+    rng = random.Random(37)
+    S = sorted(rng.sample(ring.monomials, min(4, ring.N)))
+    for U, h in codes._orbit_boxes(ring, S):
+        steps = [[S[i][t] * (M // n) % M for i in U]
+                 for t, n in enumerate(lengths)]
+        covered = set()
+        for x in itertools.product(*map(range, h)):
+            orbit = _orbit_oracle(x, steps, M)
+            assert len(orbit) == M ** len(U) // math.prod(h)
+            assert not orbit & covered
+            covered |= orbit
+        assert len(covered) == M ** len(U)
+
+
+def test_orbit_route_on_the_zero_code(ring3):
+    with pytest.raises(ZeroIdempotent):
+        orbit_distance(ring3, [])
+    assert weight_distribution(ring3, []) == [1] + [0] * 8
+
+
+def test_orbit_route_refuses_a_box_past_64_bit_indices():
+    # six indices of one axis over GF(65521): the translations move the
+    # logs by multiples of 65520/16 only, so the box holds about
+    # 65520^5/16 representatives; a raised budget lets construct try
+    ring = Ring(Field(65521), (16,))
+    seeds = [(i,) for i in range(6)]
+    with pytest.raises(BudgetExceeded, match="64-bit"):
+        construct(ring, seeds, budget=10 ** 30)
+
+
+def test_orbit_route_in_bounded_memory():
+    # [64, 6, 42]_9 weighs 1,087 representatives in blocks of 2^14
+    # codeword entries; its projective enumeration peaked near 10 MB
+    ring = Ring(Field(3, 2), (8, 8))
+    S = DISTANCE_CODES[2][3]
+    tracemalloc.start()
+    try:
+        d = orbit_distance(ring, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 42
+    assert peak < 2 * 2 ** 20
+
+
 def test_min_distance_weighs_by_comparison_in_bounded_memory():
     # [225, 4, 196]_16 weighs against a span table of 16^3 rows x 225, 7.4 MB
     # of int64: one boolean mask per offset fits the bound, while forming
@@ -283,10 +419,10 @@ def test_min_distance_level_over_the_table_limit_in_bounded_memory():
 
 
 def test_bound_violation_raises(ring3, monkeypatch):
-    monkeypatch.setattr(codes, "min_distance", lambda G, budget: G.cols)
+    monkeypatch.setattr(codes, "orbit_distance", lambda ring, S: ring.N)
     with pytest.raises(BoundViolated, match="Singleton"):
         construct(ring3, REFERENCE_SEEDS_K3)
-    monkeypatch.setattr(codes, "min_distance", lambda G, budget: 0)
+    monkeypatch.setattr(codes, "orbit_distance", lambda ring, S: 0)
     with pytest.raises(BoundViolated, match="product bound"):
         construct(ring3, ring3.monomials)
 
@@ -295,7 +431,7 @@ def test_bound_violation_raises_under_optimize():
     script = (
         "from multicyclic import Field, Ring, codes\n"
         "from multicyclic.errors import BoundViolated\n"
-        "codes.min_distance = lambda G, budget: G.cols\n"
+        "codes.orbit_distance = lambda ring, S: ring.N\n"
         "try:\n"
         "    codes.construct(Ring(Field(3), (2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])\n"
         "except BoundViolated:\n"

@@ -142,7 +142,7 @@ def test_log_antilog_tables(field):
 
 
 @pytest.mark.parametrize(
-    "p, m", EXTENSION_FIELDS + [(2, 16), (3, 10), (251, 2)],
+    "p, m", EXTENSION_FIELDS + [(2, 16), (3, 10), (251, 2), (13, 1), (65521, 1)],
     ids=lambda v: str(v))
 def test_doubled_tables_match_loop_oracle(p, m):
     field = Field(p, m)

@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from multicyclic import Field, GfMatrix, in_span, rank, rref
+from multicyclic import Field, GfMatrix, rank, rref
 from multicyclic.errors import DimensionMismatch
 from multicyclic.linalg import RowReducer
+
+from conftest import in_span
 
 REFERENCE_G = [
     [0, 2, 2, 0, 1, 2, 2, 1],
