@@ -1,6 +1,7 @@
 """Multicyclic code construction: generating idempotent, shift-degree
-profile (read off the spectral support), polynomial basis (one greedy
-scan of monomial multiples), generator matrix, exact minimum distance and
+profile (read off the spectral support), polynomial basis (the monomial
+multiples of e at the pivot columns of the K x N character matrix of the
+defining set), generator matrix, exact minimum distance and
 the product bound, plus exhaustive/randomized search over orbit unions,
 which weighs the codes of all its translation classes in one batched
 pass over the primitive idempotents of each defining set.
@@ -15,6 +16,7 @@ give the weight distribution too.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -31,7 +33,7 @@ from .errors import (
     RankDeficient,
     ZeroIdempotent,
 )
-from .linalg import GfMatrix, RowReducer, rref
+from .linalg import GfMatrix, rref
 from .orbits import DefiningSet, closure
 from .ring import Poly, Ring
 from .spectral import fourier, idempotent_from_set
@@ -88,25 +90,29 @@ def k_profile(e: Poly) -> tuple:
     return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
-def build_basis(e: Poly, K: int, kp: tuple):
-    """Basis polynomials for <e>: the monomial multiples of e that raise the
-    rank, scanned in the ring's monomial order.
+def build_basis(e: Poly, S, kp: tuple):
+    """Basis polynomials for <e>, e the idempotent of the defining set S:
+    the monomial multiples of e that raise the rank, in monomial order.
 
-    X^m e with some m_t >= k_t depends on multiples of lower degree, so the
-    scan only picks exponents inside the box m_t < k_t; it picks the whole
-    box, in the same order, exactly when prod(k_t) = K, i.e. when the
-    defining set is the product of its projections."""
+    X^m e = sum_{j in S} w^(j.m) e_j, so the basis exponents are the pivot
+    columns of the rref of the K x N character matrix (w^(j.m)), columns
+    in monomial order.  X^m e with some m_t >= k_t depends on multiples
+    of lower degree, so the pivots lie inside the box m_t < k_t; they are
+    the whole box, in the same order, exactly when prod(k_t) = K, i.e.
+    when the defining set is the product of its projections."""
     ring = e.ring
-    polys = []
-    red = RowReducer(ring.field, ring.N)
-    for m in ring.monomials:
-        cand = e.translate(m)
-        if red.add(cand.vector()):
-            polys.append(cand)
-        if red.rank == K:
-            return polys, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
-    raise RankDeficient(
-        f"monomial multiples of e span rank {red.rank}, expected {K}")
+    K = len(S)
+    sets = np.array(sorted(S), dtype=np.int64).reshape(1, K, ring.r)
+    chars = _character_rows(ring, sets, inverse=False)[0]
+    # the box lies in the monomials of degree <= sum(k_t - 1), a prefix of
+    # the order, and a column's pivot status depends only on earlier ones
+    width = bisect.bisect_right(ring.monomials, sum(kp) - ring.r, key=sum)
+    _, rank, pivots = rref(GfMatrix(ring.field, chars[:, ring._gather[:width]]))
+    if rank < K:
+        raise RankDeficient(
+            f"monomial multiples of e span rank {rank}, expected {K}")
+    basis = [e.translate(ring.monomials[c]) for c in pivots]
+    return basis, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
 
 
 def generator_matrix(basis, ring: Ring) -> GfMatrix:
@@ -115,16 +121,18 @@ def generator_matrix(basis, ring: Ring) -> GfMatrix:
     return GfMatrix(ring.field, rows.reshape(-1, ring.N))
 
 
-def _idempotent_rows(ring: Ring, sets) -> np.ndarray:
-    """rows[c, k]: the coefficients of the primitive idempotent e_j,
-    j = sets[c, k], for (C, K, r) index coordinates: the outer product of
-    the per-axis inverse-transform rows n_t^-1 w_t^(-j_t m_t), each axis
-    appended as the last (fastest) one, so the N coefficients come in C
-    order, which a weight ignores."""
+def _character_rows(ring: Ring, sets, inverse: bool) -> np.ndarray:
+    """rows[c, k, m] = prod_t table_t[j_t, m_t], j = sets[c, k], for
+    (C, K, r) index coordinates: the outer product of the per-axis table
+    rows, each axis appended as the last (fastest) one, so the N exponents
+    m come in C order.  The forward tables w_t^(j_t m_t) give the
+    character of j on the monomials X^m; the inverse tables
+    n_t^-1 w_t^(-j_t m_t) give the coefficients of the primitive
+    idempotent e_j, whose C order a weight ignores."""
     fld = ring.field
     rows = np.ones(sets.shape[:2] + (1,), dtype=np.int64)
-    for t, (_, inv) in enumerate(ring._axis_tables):
-        rows = fld.mul(rows[..., None], inv[sets[:, :, t], None, :])
+    for t, tables in enumerate(ring._axis_tables):
+        rows = fld.mul(rows[..., None], tables[inverse][sets[:, :, t], None, :])
         rows = rows.reshape(len(sets), sets.shape[1], -1)
     return rows
 
@@ -220,8 +228,8 @@ def _orbit_blocks(ring: Ring, S):
     p, M, N = fld.p, fld.q - 1, ring.N
     S = sorted(S)
     K = len(S)
-    logs = fld._log[_idempotent_rows(
-        ring, np.array(S, dtype=np.int64).reshape(1, K, ring.r))[0]]
+    sets = np.array(S, dtype=np.int64).reshape(1, K, ring.r)
+    logs = fld._log[_character_rows(ring, sets, inverse=True)[0]]
     table = np.concatenate([fld._exp, fld._exp, np.zeros(M, dtype=np.int64)])
     if p > 2:
         table = table // p ** np.arange(fld.m)[:, None] % p
@@ -323,7 +331,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
         return CodeRecord(ring=ring, defining_set=S, idempotent=e, n=n, K=0,
                           generator=generator_matrix([], ring))
     kp = k_profile(e)
-    basis, kind = build_basis(e, K, kp)
+    basis, kind = build_basis(e, S, kp)
     G = generator_matrix(basis, ring)
     if rref(G)[1] != K:
         raise RankDeficient("generator matrix rank disagrees with |S|")
@@ -404,7 +412,7 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     (C, K, r) coordinates of C sets of K distinct indices.
 
     Every orbit is a singleton, so the code of S is spanned by the
-    primitive idempotents e_j, j in S (`_idempotent_rows`).  Each of the
+    primitive idempotents e_j, j in S (`_character_rows`).  Each of the
     (q^K - 1)/(q - 1) projective messages is multiplied into the rows of
     a block of classes at once, and d is the least number of nonzero
     entries.  A block holds at most CLASS_BLOCK codeword entries (one
@@ -421,7 +429,7 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     whole = _projective_messages(q, K, 0, P) if P * K <= CLASS_BLOCK else None
     best = np.empty(C, dtype=np.int64)
     for c in range(0, C, per_block):
-        rows = _idempotent_rows(ring, sets[c:c + per_block])
+        rows = _character_rows(ring, sets[c:c + per_block], inverse=True)
         weight = np.full(len(rows), N)
         for lo in range(0, P, step):
             msgs = (whole[lo:lo + step] if whole is not None

@@ -1,15 +1,17 @@
 """Exact arithmetic in GF(p^m).
 
 Elements are canonical integers in [0, q): the base-p encoding of the
-polynomial representation.  Prime fields (m = 1) use direct modular
-arithmetic; extension fields multiply through log/antilog tables built
-once per field (prime fields build them too, for the log-domain codeword
-sums of `codes`), and characteristic 2 adds by XOR.  Public operations
+polynomial representation.  Every field builds log/antilog tables once;
+inverses, powers and element orders read them, extension fields multiply
+through them, prime fields (m = 1) multiply and add mod p, and
+characteristic 2 adds by XOR.  Public operations
 take plain ints or numpy integer arrays, give an int for scalars, and
 are pure.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -225,15 +227,10 @@ class Field:
         return self._ret(out)
 
     def inv(self, a):
-        if isinstance(a, np.ndarray):
-            flat = [self.inv(int(x)) for x in a.ravel()]
-            return np.array(flat, dtype=np.int64).reshape(a.shape)
-        a = int(a)
-        if a == 0:
+        a = np.asarray(a)
+        if (a == 0).any():
             raise DivisionByZero("inverse of zero")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
+        return self._ret(self._exp[-self._log[a] % (self.q - 1)])
 
     def pow(self, a, e: int):
         a = int(a)
@@ -243,10 +240,7 @@ class Field:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 0
-        e %= self.q - 1
-        if self.m == 1:
-            return pow(a, e, self.p)
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        return int(self._exp[int(self._log[a]) * e % (self.q - 1)])
 
     def dot(self, A, B):
         """Matrix/vector product with field arithmetic (matmul semantics)."""
@@ -286,11 +280,8 @@ class Field:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("order of zero")
-        k, x = 1, a
-        while x != 1:
-            x = int(self.mul(x, a))
-            k += 1
-        return k
+        # a = g^(log a) and g has order q - 1
+        return (self.q - 1) // math.gcd(int(self._log[a]), self.q - 1)
 
     def __repr__(self):
         if self.m == 1:

@@ -1,7 +1,9 @@
 """Exact Gauss-Jordan linear algebra over F_q.
 
 No fraction-free or floating-point paths: all entries live in the field
-and elimination uses field inversion directly.
+and elimination uses field inversion directly.  `rref` is the one
+elimination: it gives the rank check of a generator matrix and, from the
+pivots of the K x N character matrix, the basis of `codes.build_basis`.
 """
 
 from __future__ import annotations
@@ -75,35 +77,3 @@ def rref(M: GfMatrix):
 def rank(M: GfMatrix) -> int:
     return rref(M)[1]
 
-
-class RowReducer:
-    """Incremental rank builder keeping rows in reduced echelon state."""
-
-    def __init__(self, field: Field, width: int):
-        self.field = field
-        self.width = width
-        self.rows = []     # reduced, pivot-normalized rows
-        self.pivots = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, v) -> bool:
-        """Reduce v against the current rows; keep it if independent."""
-        fld = self.field
-        v = np.asarray(v, dtype=np.int64).copy()
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                v = np.asarray(fld.sub(v, fld.mul(int(v[pc]), row)))
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        pc = int(nz[0])
-        v = np.asarray(fld.mul(fld.inv(int(v[pc])), v))
-        for i, row in enumerate(self.rows):
-            if row[pc]:
-                self.rows[i] = np.asarray(fld.sub(row, fld.mul(int(row[pc]), v)))
-        self.rows.append(v)
-        self.pivots.append(pc)
-        return True

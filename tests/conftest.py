@@ -13,11 +13,12 @@ from multicyclic.errors import (
     ArityMismatch,
     BudgetExceeded,
     DimensionMismatch,
+    DivisionByZero,
     Infeasible,
     RankDeficient,
     ZeroIdempotent,
 )
-from multicyclic.linalg import GfMatrix, RowReducer, rank, rref
+from multicyclic.linalg import GfMatrix, rank, rref
 from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
 
@@ -147,6 +148,17 @@ def brute_field_mul(field, a, b):
         for i, mc in enumerate(field.modulus[:-1]):
             res[k - m + i] = (res[k - m + i] - c * mc) % p
     return sum(c * p ** i for i, c in enumerate(res[:m]))
+
+
+def loop_element_order(field, a: int) -> int:
+    """Oracle: the order of a nonzero a, by multiplying by a until 1."""
+    if a == 0:
+        raise DivisionByZero("order of zero")
+    k, x = 1, a
+    while x != 1:
+        x = int(field.mul(x, a))
+        k += 1
+    return k
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,6 +440,40 @@ def dual_defining_set(ring, S) -> list:
     return [j for j in ring.monomials if j not in neg]
 
 
+class RowReducer:
+    """Oracle: incremental rank builder keeping rows in reduced echelon
+    state."""
+
+    def __init__(self, field: Field, width: int):
+        self.field = field
+        self.width = width
+        self.rows = []     # reduced, pivot-normalized rows
+        self.pivots = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, v) -> bool:
+        """Reduce v against the current rows; keep it if independent."""
+        fld = self.field
+        v = np.asarray(v, dtype=np.int64).copy()
+        for row, pc in zip(self.rows, self.pivots):
+            if v[pc]:
+                v = np.asarray(fld.sub(v, fld.mul(int(v[pc]), row)))
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        pc = int(nz[0])
+        v = np.asarray(fld.mul(fld.inv(int(v[pc])), v))
+        for i, row in enumerate(self.rows):
+            if row[pc]:
+                self.rows[i] = np.asarray(fld.sub(row, fld.mul(int(row[pc]), v)))
+        self.rows.append(v)
+        self.pivots.append(pc)
+        return True
+
+
 def in_span(v, basis: GfMatrix):
     """Oracle: coefficients alpha with v = sum alpha_i * row_i, or None,
     by reducing the augmented system basis^T * alpha = v."""
@@ -482,6 +528,27 @@ def rank_scan_k_profile(e):
             rows.append(v)
         out.append(k)
     return tuple(out)
+
+
+def scan_build_basis(e, K: int, kp: tuple):
+    """Oracle: basis polynomials for <e>, the monomial multiples of e that
+    raise the rank, scanned in the ring's monomial order.
+
+    X^m e with some m_t >= k_t depends on multiples of lower degree, so the
+    scan only picks exponents inside the box m_t < k_t; it picks the whole
+    box, in the same order, exactly when prod(k_t) = K, i.e. when the
+    defining set is the product of its projections."""
+    ring = e.ring
+    polys = []
+    red = RowReducer(ring.field, ring.N)
+    for m in ring.monomials:
+        cand = e.translate(m)
+        if red.add(cand.vector()):
+            polys.append(cand)
+        if red.rank == K:
+            return polys, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
+    raise RankDeficient(
+        f"monomial multiples of e span rank {red.rank}, expected {K}")
 
 
 def two_branch_build_basis(e, K, kp):

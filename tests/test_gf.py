@@ -19,7 +19,7 @@ from multicyclic.errors import (
 )
 from multicyclic.gf import _is_irreducible
 
-from conftest import brute_field_mul, digit_add, loop_field_tables
+from conftest import brute_field_mul, digit_add, loop_element_order, loop_field_tables
 
 EXTENSION_FIELDS = [(p, m) for p in range(2, 65) for m in range(2, 13)
                     if all(p % d for d in range(2, p)) and p ** m <= 4096]
@@ -127,6 +127,35 @@ def test_inverse_exhaustive(field):
         assert field.mul(a, field.inv(a)) == 1
     with pytest.raises(DivisionByZero):
         field.inv(0)
+
+
+# the fields of the rings in test_profile, and the largest prime field
+INV_FIELDS = [Field(3), Field(5), Field(7), Field(2, 3), Field(3, 2), Field(65521)]
+
+
+@pytest.mark.parametrize("field", INV_FIELDS, ids=repr)
+def test_array_inv_matches_scalar(field):
+    a = np.arange(1, field.q)
+    inv = field.inv(a)
+    assert inv.tolist() == [field.inv(int(x)) for x in a]
+    if field.m == 1:
+        assert inv.tolist() == [pow(int(x), field.p - 2, field.p) for x in a]
+    else:
+        assert all(brute_field_mul(field, int(x), int(y)) == 1
+                   for x, y in zip(a, inv))
+    with pytest.raises(DivisionByZero):
+        field.inv(np.array([[1, 0], [2, 1]]))
+
+
+@pytest.mark.parametrize(
+    "field", [Field(p, m) for p in range(2, 48) for m in range(1, 6)
+              if all(p % d for d in range(2, p)) and p ** m <= 49],
+    ids=repr)
+def test_element_order_matches_loop_oracle(field):
+    for a in range(1, field.q):
+        assert field.element_order(a) == loop_element_order(field, a)
+    with pytest.raises(DivisionByZero):
+        field.element_order(0)
 
 
 @pytest.mark.parametrize("field", [Field(3), Field(5), Field(2, 3), Field(3, 2)])

@@ -6,9 +6,7 @@ import pytest
 
 from multicyclic import Field, GfMatrix, rank, rref
 from multicyclic.errors import DimensionMismatch
-from multicyclic.linalg import RowReducer
-
-from conftest import in_span
+from conftest import RowReducer, in_span
 
 REFERENCE_G = [
     [0, 2, 2, 0, 1, 2, 2, 1],

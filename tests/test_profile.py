@@ -1,17 +1,24 @@
-"""The k profile read off the spectrum and the one-scan basis against the
-rank-scan oracles in conftest, on random defining sets and random
+"""The k profile read off the spectrum and the character-pivot basis against
+the rank-scan oracles in conftest, on random defining sets and random
 non-idempotent elements over every ring of the family."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicyclic import fourier_inverse, idempotent_from_set, k_profile, rank
-from multicyclic.codes import build_basis, generator_matrix
+from multicyclic import Field, Ring, fourier_inverse, idempotent_from_set, k_profile, rank
+from multicyclic.codes import BASIS_BOX, build_basis, generator_matrix
 from multicyclic.spectral import Spectrum
 
-from conftest import enumerate_rings, rank_scan_k_profile, two_branch_build_basis
+from conftest import (
+    enumerate_rings,
+    rank_scan_k_profile,
+    scan_build_basis,
+    two_branch_build_basis,
+)
 
 RINGS = enumerate_rings()
 IDS = [f"q{r.field.q}-{'x'.join(map(str, r.lengths))}" for r in RINGS]
@@ -52,6 +59,32 @@ def test_build_basis_matches_two_branch_oracle(ring, data):
     S = data.draw(defining_sets(ring))
     e = idempotent_from_set(ring, S)
     kp = k_profile(e)
-    basis, kind = build_basis(e, len(S), kp)
+    basis, kind = build_basis(e, S, kp)
     assert (basis, kind) == two_branch_build_basis(e, len(S), kp)
     assert rank(generator_matrix(basis, ring)) == len(S)
+
+
+# every ring of the family and two with four axes
+SCAN_RINGS = RINGS + [Ring(Field(3), (2, 2, 2, 2)), Ring(Field(3, 2), (4, 2, 2, 2))]
+SCAN_IDS = IDS + ["q3-2x2x2x2", "q9-4x2x2x2"]
+
+
+def box_sets(ring):
+    """Products of nonempty per-axis subsets: prod(k_t) = K, a box basis."""
+    axes = [st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            for n in ring.lengths]
+    return st.tuples(*axes).map(lambda proj: list(itertools.product(*proj)))
+
+
+@pytest.mark.parametrize("ring", SCAN_RINGS, ids=SCAN_IDS)
+@oracle_settings
+@given(data=st.data())
+def test_build_basis_matches_scan_oracle(ring, data):
+    kinds = []
+    for S in (data.draw(box_sets(ring)), data.draw(defining_sets(ring))):
+        e = idempotent_from_set(ring, S)
+        kp = k_profile(e)
+        basis, kind = build_basis(e, S, kp)
+        assert (basis, kind) == scan_build_basis(e, len(S), kp)
+        kinds.append(kind)
+    assert kinds[0] == BASIS_BOX
