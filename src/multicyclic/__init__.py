@@ -14,7 +14,6 @@ from .codes import (
 from .gf import Field
 from .linalg import GfMatrix, rank, rref
 from .orbits import (
-    DefiningSet,
     Orbit,
     all_orbits,
     closure,
@@ -33,7 +32,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "CodeRecord", "DefiningSet", "Field", "GfMatrix", "Orbit", "Poly",
+    "CodeRecord", "Field", "GfMatrix", "Orbit", "Poly",
     "Ring", "SearchRow", "Spectrum", "all_orbits", "closure", "combinatorial_form",
     "construct", "fourier", "fourier_inverse", "frobenius",
     "idempotent_from_set", "k_profile", "orbit_distance", "orbit_of",

@@ -17,6 +17,7 @@ property fails, 7 reproduction mismatch, 1 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -64,7 +65,7 @@ def parse_seeds(text: str):
 
 
 def format_defining_set(S) -> str:
-    return ";".join("(" + ",".join(map(str, idx)) + ")" for idx in S.sorted())
+    return ";".join("(" + ",".join(map(str, idx)) + ")" for idx in S)
 
 
 def _build_ring(args) -> Ring:
@@ -86,7 +87,7 @@ def record_to_dict(rec: CodeRecord) -> dict:
         "n": rec.n,
         "K": rec.K,
         "d": rec.d,
-        "defining_set": [list(i) for i in rec.defining_set.sorted()],
+        "defining_set": [list(i) for i in rec.defining_set],
         "k_profile": list(rec.k_profile) if rec.k_profile else None,
         "basis_kind": rec.basis_kind,
         "idempotent": str(rec.idempotent),
@@ -174,10 +175,10 @@ def cmd_search(args) -> int:
     rows = search(ring, args.K, budget=args.budget, seed=args.seed)
     top = []
     for row in rows[:args.top] if args.top else rows:
-        rec = construct(ring, row.defining_set.sorted(), budget=args.budget)
+        rec = construct(ring, row.defining_set, budget=args.budget)
         if rec.d != row.d:
             raise MulticyclicError(f"search ranked d = {row.d}, but the code "
-                                   f"of {row.defining_set.sorted()} has d = {rec.d}")
+                                   f"of {list(row.defining_set)} has d = {rec.d}")
         readback_check(rec)
         top.append(rec)
     if args.format == "json":
@@ -234,7 +235,9 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: the handlers look up their callees per call."""
     parser = argparse.ArgumentParser(
         prog="multicyclic",
         description="Construct and analyze r-dimensional multicyclic codes over GF(p^m).")

@@ -34,7 +34,7 @@ from .errors import (
     ZeroIdempotent,
 )
 from .linalg import GfMatrix, rref
-from .orbits import DefiningSet, closure
+from .orbits import closure
 from .ring import Poly, Ring
 from .spectral import fourier, idempotent_from_set
 
@@ -59,7 +59,7 @@ BASIS_GREEDY = "greedy"
 @dataclass
 class CodeRecord:
     ring: Ring
-    defining_set: DefiningSet
+    defining_set: tuple
     idempotent: Poly
     n: int
     K: int
@@ -366,7 +366,7 @@ def literal_monomial_sum(ring: Ring, seeds) -> Poly:
 
 @dataclass(frozen=True)
 class SearchRow:
-    defining_set: DefiningSet
+    defining_set: tuple
     K: int
     d: int
 
@@ -481,6 +481,6 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
         translation_keys(coords[sel], ring.lengths),
         axis=0, return_index=True, return_inverse=True)
     d = class_distances(ring, coords[sel[first]])[inverse.reshape(-1)]
-    members = [[reps[i] for i in row] for row in sel.tolist()]
-    return [SearchRow(DefiningSet(frozenset(members[c])), K_target, int(d[c]))
-            for c in np.argsort(-d, kind="stable").tolist()]
+    order = np.argsort(-d, kind="stable")
+    return [SearchRow(tuple(map(reps.__getitem__, row)), K_target, dist)
+            for row, dist in zip(sel[order].tolist(), d[order].tolist())]

@@ -211,6 +211,9 @@ class Field:
         return self._ret(out)
 
     def neg(self, a):
+        if self.p == 2:
+            # -1 = 1; a copy, so that writing into the result leaves a alone
+            return self._ret(np.array(a))
         # the element p - 1 is the constant polynomial -1 in every GF(p^m)
         return self.mul(a, self.p - 1)
 

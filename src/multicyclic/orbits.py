@@ -6,6 +6,10 @@ the functions take the multiplier explicitly: this keeps the machinery
 exercisable with nontrivial orbits (subfield-style actions such as
 multiplier 2 on length 7) and is what `combinatorial_form` uses to
 check orbit-constancy of spectra.
+
+A defining set, a union of orbits, is the sorted tuple of its index
+tuples: `closure` returns that form, and every code record, search row
+and printed form reads it in that order.
 """
 
 from __future__ import annotations
@@ -27,25 +31,6 @@ class Orbit:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class DefiningSet:
-    """A subset of the index box."""
-
-    indices: frozenset
-
-    def sorted(self) -> list:
-        return sorted(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __contains__(self, idx):
-        return tuple(idx) in self.indices
 
 
 def _check_box(idx, lengths):
@@ -89,12 +74,12 @@ def all_orbits(lengths, multiplier: int) -> list[Orbit]:
     return orbits
 
 
-def closure(seeds, lengths, multiplier: int) -> DefiningSet:
-    """Union of the orbits of all seeds."""
+def closure(seeds, lengths, multiplier: int) -> tuple:
+    """Union of the orbits of all seeds, as the sorted tuple of its indices."""
     indices = set()
     for idx in seeds:
         indices.update(orbit_of(idx, lengths, multiplier).members)
-    return DefiningSet(indices=frozenset(indices))
+    return tuple(sorted(indices))
 
 
 def combinatorial_form(e: Poly, multiplier: int | None = None) -> dict:

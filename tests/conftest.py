@@ -615,5 +615,5 @@ def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
     for sel in selections:
         seeds = [orbs[i].representative for i in sel]
         records.append(construct(ring, seeds, budget=budget))
-    records.sort(key=lambda r: (-r.d, r.defining_set.sorted()))
+    records.sort(key=lambda r: (-r.d, r.defining_set))
     return records

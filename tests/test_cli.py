@@ -195,6 +195,19 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ("construct", "--p", "5", "--lengths", "4,4", "--seeds", "(0,0);(1,1)")
+    code, alone, _ = run(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--p", "5", "--lengths", "4,4", "--seeds", "(0,0)",
+              "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == (0, alone, "")
+
+
 def test_verify_property_failure_exits_6(capsys, monkeypatch):
     real = verify.primitive_idempotent
 
@@ -314,6 +327,8 @@ def test_search_distance_mismatch_exits_2(capsys, monkeypatch):
                          "--K", "3")
     assert code == 2 and out == ""
     assert "d = 5" in err and "d = 4" in err
+    assert err == ("error: search ranked d = 5, but the code of "
+                   "[(0, 0, 0), (0, 0, 1), (0, 1, 0)] has d = 4\n")
 
 
 # sha256 of `reproduce` stdout and of `verify` stdout (seven "pass" lines on

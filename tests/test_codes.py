@@ -137,7 +137,7 @@ def test_box_basis_cartesian_set(f3):
     assert rec.basis_kind == BASIS_BOX
     assert rec.product_bound == 2 and rec.bound_applicable
     assert rec.d >= 2
-    assert rec.d == spectral_min_distance(ring, rec.defining_set.sorted())
+    assert rec.d == spectral_min_distance(ring, rec.defining_set)
 
 
 @pytest.mark.parametrize("lengths,p,m", [((2, 2, 2), 3, 1), ((4, 2), 5, 1),
@@ -149,7 +149,7 @@ def test_min_distance_matches_spectral_oracle(lengths, p, m):
         k = rng.randrange(1, min(ring.N, 4) + 1)
         seeds = rng.sample(ring.monomials, k)
         rec = construct(ring, seeds)
-        assert rec.d == spectral_min_distance(ring, rec.defining_set.sorted())
+        assert rec.d == spectral_min_distance(ring, rec.defining_set)
 
 
 def test_min_distance_budget(ring3):
@@ -510,7 +510,7 @@ def test_search_reference_ring_k3(ring3):
     assert records[0].d == 4
     assert max(r.d for r in records) == 4
     # deterministic tie-break: lexicographically smallest defining set first
-    assert records[0].defining_set.sorted() == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+    assert records[0].defining_set == ((0, 0, 0), (0, 0, 1), (0, 1, 0))
 
 
 def test_search_full_dimension(ring3):
@@ -557,5 +557,5 @@ def test_search_sampling_deterministic(ring3, monkeypatch):
     a = search(ring3, 4, seed=1)
     b = search(ring3, 4, seed=1)
     assert len(a) == 20
-    assert [r.defining_set.sorted() for r in a] == [r.defining_set.sorted() for r in b]
+    assert [r.defining_set for r in a] == [r.defining_set for r in b]
     assert all(r.K == 4 for r in a)

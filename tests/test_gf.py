@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import time
 
 import numpy as np
@@ -296,3 +297,26 @@ def test_char2_add_matches_digit_loop(m):
     assert np.array_equal(fld.add(a, y), digit_add(fld, a, y))
     for s in (fld.add(x, y), fld.add(np.int64(x), y), fld.sub(x, y)):
         assert type(s) is int and s == digit_add(fld, x, y)
+
+
+
+@pytest.mark.parametrize("field", [Field(2), Field(2, 2), Field(2, 4), Field(2, 16)],
+                         ids=lambda f: f"q{f.q}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_char2_neg_is_a_copy_and_sub_is_add(field, data):
+    p = field.p
+    element = st.integers(0, field.q - 1)
+    a, b = data.draw(element), data.draw(element)
+    assert field.neg(a) == field.mul(a, p - 1) == a
+    assert field.sub(a, b) == field.add(a, field.mul(b, p - 1))
+    shape = data.draw(st.sampled_from([(5,), (3, 4)]))
+    A, B = (np.array(data.draw(st.lists(element, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+            for _ in range(2))
+    assert np.array_equal(field.neg(A), field.mul(A, p - 1))
+    assert np.array_equal(field.sub(A, B), field.add(A, field.mul(B, p - 1)))
+    before = A.copy()
+    out = field.neg(A)
+    out += 1
+    assert np.array_equal(A, before)

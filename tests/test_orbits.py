@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multicyclic import (
     Field,
@@ -15,6 +18,12 @@ from multicyclic import (
     primitive_idempotent,
 )
 from multicyclic.errors import IndexOutOfRange, NotIdempotent, NotOrbitConstant
+
+from conftest import enumerate_rings
+
+# (lengths, multiplier): every test ring under its own q, and the
+# subfield-style action of multiplier 2 on length 7
+ACTIONS = [(r.lengths, r.field.q) for r in enumerate_rings()] + [((7,), 2)]
 
 
 def test_frobenius_identity_when_q_is_1_mod_n(ring3):
@@ -88,15 +97,33 @@ def test_orbit_sizes_divide_multiplicative_order():
 
 
 def test_closure():
-    assert closure([], (7,), 2).sorted() == []
+    assert closure([], (7,), 2) == ()
     S = closure([(3,)], (7,), 2)
-    assert S.sorted() == [(3,), (5,), (6,)]
+    assert S == ((3,), (5,), (6,))
+
+
+@pytest.mark.parametrize("lengths, multiplier", ACTIONS,
+                         ids=[f"{'x'.join(map(str, n))}-m{m}" for n, m in ACTIONS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_closure_is_the_sorted_union_of_orbits(lengths, multiplier, data):
+    box = list(itertools.product(*(range(n) for n in lengths)))
+    seeds = data.draw(st.lists(st.sampled_from(box), max_size=8))
+    repeats = data.draw(st.lists(st.sampled_from(seeds), max_size=4)) if seeds else []
+    shuffled = data.draw(st.permutations(seeds + repeats))
+    union = set()
+    for idx in seeds:
+        cur = idx
+        while cur not in union:
+            union.add(cur)
+            cur = tuple(multiplier * i % n for i, n in zip(cur, lengths))
+    assert closure(shuffled, lengths, multiplier) == tuple(sorted(union))
 
 
 def test_closure_of_reference_set(ring3):
     seeds = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     S = closure(seeds, (2, 2, 2), 3)
-    assert S.sorted() == sorted(seeds)
+    assert S == tuple(sorted(seeds))
 
 
 def test_combinatorial_form_of_one(ring3):
@@ -142,7 +169,7 @@ def test_round_trip_nontrivial_orbits(f8):
         e = idempotent_from_set(ring, S)
         reps = combinatorial_form(e, multiplier=2)
         S2 = closure(list(reps), (7,), 2)
-        assert S2.indices == S.indices
+        assert S2 == S
         assert idempotent_from_set(ring, S2) == e
 
 
@@ -155,5 +182,5 @@ def test_round_trip_singleton_orbits(ring3, f5):
             e = idempotent_from_set(ring, S)
             reps = combinatorial_form(e)
             S2 = closure(list(reps), ring.lengths, ring.field.q)
-            assert S2.indices == S.indices
+            assert S2 == S
             assert idempotent_from_set(ring, S2) == e

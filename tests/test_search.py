@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicyclic import DefiningSet, Field, Ring, SearchRow, codes, construct, search
+from multicyclic import Field, Ring, SearchRow, codes, construct, search
 from multicyclic.codes import DEFAULT_BUDGET, class_distances, translation_keys
 
 from conftest import (
@@ -39,7 +39,7 @@ def translate(S, a, lengths):
 
 
 def ranked(rows):
-    return [(r.d, r.defining_set.sorted()) for r in rows]
+    return [(r.d, r.defining_set) for r in rows]
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=IDS)
@@ -131,6 +131,18 @@ def _oracle_cases():
 
 
 @pytest.mark.parametrize("ring, K", _oracle_cases())
+def test_search_rows_hold_sorted_index_tuples(ring, K):
+    rows = search(ring, K)
+    for r in rows:
+        S = r.defining_set
+        assert type(S) is tuple and len(S) == K
+        assert all(type(idx) is tuple and len(idx) == ring.r for idx in S)
+        assert all(a < b for a, b in zip(S, S[1:]))
+    for r in rows[:3]:
+        assert construct(ring, r.defining_set).defining_set == r.defining_set
+
+
+@pytest.mark.parametrize("ring, K", _oracle_cases())
 def test_search_matches_every_candidate_oracle(ring, K):
     rows = search(ring, K)
     assert ranked(rows) == ranked(construct_every_candidate_search(ring, K))
@@ -202,12 +214,11 @@ def test_class_blocks_bound_memory(monkeypatch):
     assert len(rows) == 3
     assert peak < 16 * 2 ** 20
     assert [r.d for r in rows] == [
-        construct(ring, r.defining_set.sorted()).d for r in rows]
+        construct(ring, r.defining_set).d for r in rows]
 
 
 def test_search_rows_are_frozen(ring3):
     row = search(ring3, 3)[0]
-    assert row == SearchRow(
-        DefiningSet(frozenset([(0, 0, 0), (0, 0, 1), (0, 1, 0)])), 3, 4)
+    assert row == SearchRow(((0, 0, 0), (0, 0, 1), (0, 1, 0)), 3, 4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         row.d = 5
