@@ -3,8 +3,10 @@ profile (read off the spectral support), polynomial basis (the monomial
 multiples of e at the pivot columns of the K x N character matrix of the
 defining set), generator matrix, exact minimum distance and
 the product bound, plus exhaustive/randomized search over orbit unions,
-which weighs the codes of all its translation classes in one batched
-pass over the primitive idempotents of each defining set.
+which groups its candidates into translation classes with one
+np.lexsort, weighs the codes of all classes in one batched pass over the
+primitive idempotents of each defining set, and returns a read-only
+sequence that forms each ranked row when it is read.
 
 The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the
@@ -20,6 +22,7 @@ import bisect
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -371,6 +374,28 @@ class SearchRow:
     d: int
 
 
+class _RankedRows(Sequence):
+    """The ranked candidates of `search`, read-only: row i is formed as a
+    SearchRow from the orbit representatives only when it is read, and a
+    slice gives a list of rows.  Iteration ends at the IndexError numpy
+    raises past the end."""
+
+    def __init__(self, reps, sel, d, K):
+        self._reps, self._sel, self._d, self._K = reps, sel, d, K
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(row, dist) for row, dist in
+                    zip(self._sel[i].tolist(), self._d[i].tolist())]
+        return self._row(self._sel[i].tolist(), self._d[i].item())
+
+    def _row(self, row, dist) -> SearchRow:
+        return SearchRow(tuple(map(self._reps.__getitem__, row)), self._K, dist)
+
+
 def translation_keys(cands, lengths) -> np.ndarray:
     """Row-wise least translate of each candidate, as sorted C-order flat
     indices: (C, K, r) coordinates give (C, K) keys, equal exactly when
@@ -393,6 +418,21 @@ def translation_keys(cands, lengths) -> np.ndarray:
         less = flat[rows, first] < best[rows, first]
         best[less] = flat[less]
     return best
+
+
+def group_rows(keys):
+    """(first, inverse) of the distinct rows of a (C, K) integer array, as
+    np.unique(keys, axis=0, return_index=True, return_inverse=True) gives
+    them: one stable np.lexsort (last key primary, so the columns go in
+    reversed) sorts the rows, each run of equal rows is a class, and its
+    first entry is the class's least row index."""
+    by_key = np.lexsort(keys.T[::-1])
+    ordered = keys[by_key]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[by_key] = np.cumsum(starts) - 1
+    return by_key[starts], inverse
 
 
 def _projective_messages(q: int, K: int, lo: int, hi: int) -> np.ndarray:
@@ -441,15 +481,17 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
 
 
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
-           seed: int = 0) -> list[SearchRow]:
+           seed: int = 0) -> Sequence[SearchRow]:
     """All (or sampled) unions of orbits of total size K_target, ranked by
     exact distance descending, ties toward the lexicographically smallest
     defining set.  A translate S + a multiplies every codeword by a
     character, so `class_distances` weighs one representative of each
     class of `translation_keys` (K sorted translates of K indices per
-    candidate, on one array of all candidates), all classes in one
-    batched pass and no `construct`; every candidate gets its class's d,
-    then a stable sort on d ranks them.
+    candidate, on one array of all candidates, grouped by one np.lexsort
+    in `group_rows`), all classes in one batched pass and no `construct`;
+    every candidate gets its class's d, then a stable sort on d ranks
+    them.  The ranking stays as arrays: the result is a read-only
+    sequence that forms a SearchRow only when it is read.
     Raises BudgetExceeded, weighing nothing, when q^K_target > budget."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
@@ -477,10 +519,7 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     # rows in their order, follow the lexicographic order of S
     reps = [o.representative for o in orbs]
     coords = np.array(reps, dtype=np.int64)
-    _, first, inverse = np.unique(
-        translation_keys(coords[sel], ring.lengths),
-        axis=0, return_index=True, return_inverse=True)
-    d = class_distances(ring, coords[sel[first]])[inverse.reshape(-1)]
+    first, inverse = group_rows(translation_keys(coords[sel], ring.lengths))
+    d = class_distances(ring, coords[sel[first]])[inverse]
     order = np.argsort(-d, kind="stable")
-    return [SearchRow(tuple(map(reps.__getitem__, row)), K_target, dist)
-            for row, dist in zip(sel[order].tolist(), d[order].tolist())]
+    return _RankedRows(reps, sel[order], d[order], K_target)

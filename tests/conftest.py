@@ -588,6 +588,14 @@ def translation_key(S, lengths) -> tuple:
                             for x in S)) for s in S)
 
 
+def unique_rows(keys):
+    """Oracle: (first, inverse) of the distinct rows of a (C, K) array, from
+    np.unique, which sorts the rows as whole records."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
 def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
                                      seed=0):
     """Oracle: the same candidates as `codes.search`, each one built and

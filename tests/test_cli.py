@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from multicyclic import cli, verify
+from multicyclic import cli, codes, verify
 from multicyclic.cli import format_defining_set, main, parse_seeds
 from multicyclic.codes import SearchRow
 from multicyclic.errors import MulticyclicError
@@ -329,6 +329,21 @@ def test_search_distance_mismatch_exits_2(capsys, monkeypatch):
     assert "d = 5" in err and "d = 4" in err
     assert err == ("error: search ranked d = 5, but the code of "
                    "[(0, 0, 0), (0, 0, 1), (0, 1, 0)] has d = 4\n")
+
+
+def test_search_forms_only_the_printed_rows(capsys, monkeypatch):
+    formed = []
+
+    def counting_row(*args):
+        formed.append(args)
+        return SearchRow(*args)
+    monkeypatch.setattr(codes, "SearchRow", counting_row)
+    code, out, _ = run(capsys, "search", "--p", "7", "--lengths", "6,6",
+                       "--K", "3", "--top", "3")
+    assert code == 0
+    assert out.startswith("search over") and "7140 candidates" in out
+    assert out.count("  d=30  T=") == 3
+    assert len(formed) <= 3
 
 
 # sha256 of `reproduce` stdout and of `verify` stdout (seven "pass" lines on
