@@ -48,11 +48,11 @@ TABLE_LIMIT = 1 << 20
 # search ranks every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
 EXHAUSTIVE_LIMIT = 100_000
 SAMPLES = 10_000
-# Codeword entries (classes x messages x N) weighed at once by
-# class_distances: 128 KB of int64.  On a 2-core Xeon the sampled
-# 16x16 / GF(17), K = 3 search took 6.0 s with 2^14 blocks, 8.2 s with
-# 2^15 and 9.5 s with 2^16 (2^13 was no faster), and blocks of
-# TABLE_LIMIT raised the benchmark's search peak RSS by 11%.
+# Codeword entries weighed at once by class_distances (classes x messages
+# x N) and by _orbit_blocks (representatives x N): 128 KB of int64.  On a
+# 2-core Xeon the sampled 16x16 / GF(17), K = 3 search took 6.0 s with
+# 2^14 blocks, 8.2 s with 2^15 and 9.5 s with 2^16 (2^13 was no faster),
+# and blocks of TABLE_LIMIT raised the benchmark's search peak RSS by 11%.
 CLASS_BLOCK = 1 << 14
 
 BASIS_BOX = "box"

@@ -3,8 +3,9 @@
 Elements are canonical integers in [0, q): the base-p encoding of the
 polynomial representation.  Every field builds log/antilog tables once;
 inverses, powers and element orders read them, extension fields multiply
-through them, prime fields (m = 1) multiply and add mod p, and
-characteristic 2 adds by XOR.  Public operations
+through them, and `dot` reduces by the digits of x^t they hold.  `add`,
+`sub` and `neg` are one digit-wise pass: XOR in characteristic 2, mod p
+in a prime field, base-p digit by digit otherwise.  Public operations
 take plain ints or numpy integer arrays, give an int for scalars, and
 are pure.
 """
@@ -113,9 +114,12 @@ class Field:
             self.modulus = ()
         else:
             self.modulus = mod or self._default_modulus()
-            self._alpha_pow_digits = self._alpha_powers()
         self.generator = self._find_generator()
         self._build_tables()
+        if m > 1:
+            # `dot` reduces by the digits of x^t, t < 2m - 1; x is the element p
+            self._alpha_pow_digits = [_digits(self.pow(p, t), p, m)
+                                      for t in range(2 * m - 1)]
 
     # -- construction ------------------------------------------------------
 
@@ -128,16 +132,6 @@ class Field:
             if _is_irreducible(cand, p):
                 return cand
         raise ReducibleModulus("no irreducible modulus found")  # unreachable
-
-    def _alpha_powers(self):
-        p, m = self.p, self.m
-        pows = []
-        cur = [1]
-        for _ in range(2 * m - 1):
-            digits = list(cur) + [0] * (m - len(cur))
-            pows.append(digits[:m])
-            cur = _poly_mulmod(cur, [0, 1], self.modulus, p)
-        return pows
 
     def _raw_mul(self, a: int, b: int) -> int:
         p, m = self.p, self.m
@@ -195,30 +189,32 @@ class Field:
         # numpy gives 0-d results as numpy scalars: scalars come back as int
         return out if isinstance(out, np.ndarray) and out.ndim else int(out)
 
-    def add(self, a, b):
+    def _digitwise(self, op, a, b):
+        """op (np.add or np.subtract) on each base-p digit, mod p."""
         a = np.asarray(a)
         b = np.asarray(b)
         if self.p == 2:
-            # base-2 digits add without carries: XOR on the encodings
+            # base-2 digits add and subtract without carries: XOR
             return self._ret(a ^ b)
         if self.m == 1:
-            return self._ret((a + b) % self.p)
+            return self._ret(op(a, b) % self.p)
         p = self.p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         for i in range(self.m):
             pi = p ** i
-            out += (((a // pi) + (b // pi)) % p) * pi
+            out += (op(a // pi, b // pi) % p) * pi
         return self._ret(out)
 
-    def neg(self, a):
-        if self.p == 2:
-            # -1 = 1; a copy, so that writing into the result leaves a alone
-            return self._ret(np.array(a))
-        # the element p - 1 is the constant polynomial -1 in every GF(p^m)
-        return self.mul(a, self.p - 1)
+    def add(self, a, b):
+        return self._digitwise(np.add, a, b)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._digitwise(np.subtract, a, b)
+
+    def neg(self, a):
+        # 0 - a is a fresh array in every characteristic, so writing into
+        # it leaves a alone
+        return self._digitwise(np.subtract, 0, a)
 
     def mul(self, a, b):
         a = np.asarray(a)

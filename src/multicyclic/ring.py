@@ -65,24 +65,21 @@ class Ring:
         self.monomials = list(zip(*box[:, self._gather].tolist()))
 
     @cached_property
-    def _axis_names(self) -> tuple:
-        # per axis, the name of X_t^e for each e < n_t ("" for e = 0)
+    def labels(self) -> tuple:
+        """The name of every monomial, in the monomial order: the names of
+        the box are the outer concatenation of one table per axis of the
+        names of X_t^e, e < n_t ("" for e = 0), and "1" for the constant."""
         if self.r <= len(_VAR_NAMES_SHORT):
             names = _VAR_NAMES_SHORT
         else:
             names = [f"x{t + 1}" for t in range(self.r)]
-        return tuple(("", name) + tuple(f"{name}^{e}" for e in range(2, n))
-                     for name, n in zip(names, self.lengths))
-
-    @cached_property
-    def labels(self) -> tuple:
-        """The name of every monomial, in the monomial order."""
-        return tuple(map(self.monomial_str, self.monomials))
-
-    def monomial_str(self, exps) -> str:
-        """The name of X^exps: one factor per axis with a nonzero exponent,
-        "1" for the constant monomial."""
-        return "".join(names[e] for names, e in zip(self._axis_names, exps)) or "1"
+        box = np.array("", dtype=object)
+        for name, n in zip(names, self.lengths):
+            axis = ("", name) + tuple(f"{name}^{e}" for e in range(2, n))
+            box = np.add.outer(box, np.array(axis[:n], dtype=object))
+        box = box.ravel()
+        box[0] = "1"
+        return tuple(box[self._gather].tolist())
 
     def in_box(self, idx) -> bool:
         return (len(idx) == self.r

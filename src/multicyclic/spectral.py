@@ -35,8 +35,8 @@ class Spectrum:
         return int(self.values[tuple(j)])
 
     def support(self):
-        """Sorted list of index tuples with nonzero value."""
-        return sorted(map(tuple, np.argwhere(self.values != 0).tolist()))
+        """Index tuples with nonzero value, sorted: C order is lexicographic."""
+        return list(map(tuple, np.argwhere(self.values != 0).tolist()))
 
     def __eq__(self, other):
         return (isinstance(other, Spectrum) and other.ring == self.ring

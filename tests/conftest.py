@@ -9,6 +9,7 @@ import pytest
 from multicyclic import Field, Ring, codes, construct, fourier, fourier_inverse
 from multicyclic import orbits as orb_mod
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
+from multicyclic.gf import _poly_mulmod
 from multicyclic.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -188,6 +189,59 @@ def digit_add(field, a, b):
     for i in range(field.m):
         pi = p ** i
         out += (((a // pi) + (b // pi)) % p) * pi
+    return int(out) if out.ndim == 0 else out
+
+
+def mul_neg(field, a):
+    """Oracle: -a as a times the element p - 1, the constant polynomial -1
+    in every GF(p^m), or a copy of a in characteristic 2, where -1 = 1."""
+    if field.p == 2:
+        out = np.array(a)
+        return int(out) if out.ndim == 0 else out
+    return field.mul(a, field.p - 1)
+
+
+def add_neg_sub(field, a, b):
+    """Oracle: a - b as a + (-b), through `mul_neg`."""
+    return field.add(a, mul_neg(field, b))
+
+
+def loop_alpha_powers(field):
+    """Oracle: the m base-p digits of x^t for t < 2m - 1, by multiplying
+    the polynomial x^t by x mod the modulus one step at a time."""
+    p, m = field.p, field.m
+    pows = []
+    cur = [1]
+    for _ in range(2 * m - 1):
+        digits = list(cur) + [0] * (m - len(cur))
+        pows.append(digits[:m])
+        cur = _poly_mulmod(cur, [0, 1], field.modulus, p)
+    return pows
+
+
+def brute_dot(field, A, B):
+    """Oracle: the matmul of A and B (numpy shape rules, batch axes
+    included) with every product from `brute_field_mul` and every sum from
+    `digit_add`, one entry at a time: `Field.dot` is never called."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    A2 = A[None, :] if A.ndim == 1 else A
+    B2 = B[:, None] if B.ndim == 1 else B
+    batch = np.broadcast_shapes(A2.shape[:-2], B2.shape[:-2])
+    A2 = np.broadcast_to(A2, batch + A2.shape[-2:])
+    B2 = np.broadcast_to(B2, batch + B2.shape[-2:])
+    out = np.zeros(batch + (A2.shape[-2], B2.shape[-1]), dtype=np.int64)
+    for idx in np.ndindex(out.shape):
+        row = A2[idx[:-1]]
+        col = B2[idx[:-2] + (slice(None), idx[-1])]
+        acc = 0
+        for x, y in zip(row.tolist(), col.tolist()):
+            acc = digit_add(field, acc, brute_field_mul(field, x, y))
+        out[idx] = acc
+    if A.ndim == 1:
+        out = out[..., 0, :]
+    if B.ndim == 1:
+        out = out[..., 0]
     return int(out) if out.ndim == 0 else out
 
 

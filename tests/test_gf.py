@@ -20,7 +20,16 @@ from multicyclic.errors import (
 )
 from multicyclic.gf import _is_irreducible
 
-from conftest import brute_field_mul, digit_add, loop_element_order, loop_field_tables
+from conftest import (
+    add_neg_sub,
+    brute_dot,
+    brute_field_mul,
+    digit_add,
+    loop_alpha_powers,
+    loop_element_order,
+    loop_field_tables,
+    mul_neg,
+)
 
 EXTENSION_FIELDS = [(p, m) for p in range(2, 65) for m in range(2, 13)
                     if all(p % d for d in range(2, p)) and p ** m <= 4096]
@@ -263,9 +272,11 @@ def test_is_irreducible_matches_sympy(p):
             assert _is_irreducible(poly, p) == _sympy_irreducible(poly, p), poly
 
 
-@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2),
-                                 (3, 3), (3, 5), (5, 2), (5, 3), (7, 2),
-                                 (11, 2), (13, 2)])
+SYMPY_MODULUS_CASES = [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 5),
+                       (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("p,m", SYMPY_MODULUS_CASES)
 def test_default_modulus_matches_sympy(p, m):
     # the smallest monic irreducible, reading the low coefficients as a
     # base-p number with the constant term as the lowest digit
@@ -320,3 +331,76 @@ def test_char2_neg_is_a_copy_and_sub_is_add(field, data):
     out = field.neg(A)
     out += 1
     assert np.array_equal(A, before)
+
+
+# every field with q <= 49, and the largest of each kind
+DIGITWISE_FIELDS = [Field(p, m) for p in range(2, 48) for m in range(1, 6)
+                    if all(p % d for d in range(2, p)) and p ** m <= 49] + [
+    Field(3, 10), Field(2, 16), Field(65521)]
+
+
+@pytest.mark.parametrize("field", DIGITWISE_FIELDS, ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_add_sub_neg_match_oracles(field, data):
+    q = field.q
+    kind = data.draw(st.sampled_from(["int", "int64", "0-d", "1-D", "broadcast"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "1-D":
+        a, b = rng.integers(0, q, size=(2, 7))
+    elif kind == "broadcast":
+        # the shapes of a span-table level: q multiples against a table
+        a = rng.integers(0, q, size=(min(q, 64), 1, 5))
+        b = rng.integers(0, q, size=(3, 5))
+    else:
+        a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+        a = {"int": a, "int64": np.int64(a), "0-d": np.array(a)}[kind]
+    for x, y in ((a, b), (b, a)):
+        s, d, n = field.add(x, y), field.sub(x, y), field.neg(y)
+        assert np.array_equal(s, digit_add(field, x, y))
+        assert np.array_equal(d, add_neg_sub(field, x, y))
+        assert np.array_equal(digit_add(field, d, y), np.broadcast_to(x, np.shape(d)))
+        assert np.array_equal(n, mul_neg(field, y))
+        assert not np.any(digit_add(field, n, y))
+        if np.ndim(a) == 0:
+            assert type(s) is type(d) is type(n) is int
+    for x in (a, b):
+        if np.ndim(x):
+            # writing into -x leaves x alone, in every characteristic
+            before = x.copy()
+            out = field.neg(x)
+            assert not np.shares_memory(out, x)
+            out += 1
+            assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize(
+    "field", [Field(p, m) for p, m in SYMPY_MODULUS_CASES]
+    + [Field(3, 2, modulus=[2, 1, 1])],     # x^2 + x + 2, not the default
+    ids=lambda f: f"{f!r}-{f.modulus}")
+def test_alpha_pow_digits_match_polynomial_loop(field):
+    assert field._alpha_pow_digits == loop_alpha_powers(field)
+
+
+DOT_FIELDS = [Field(2, 2), Field(2, 3), Field(3, 2), Field(2, 4), Field(5, 2),
+              Field(3, 3), Field(7)]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_dot_matches_brute_products(field, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    k, a, b, C = (data.draw(st.integers(1, 6)) for _ in range(4))
+
+    def draw(*shape):
+        return rng.integers(0, field.q, size=shape)
+
+    # a vector product, an axis step of the transform, and the class pass's
+    # (P, K) messages against (C, K, N) character rows
+    for A, B in ((draw(k), draw(k)), (draw(a, k), draw(k, b)),
+                 (draw(a, k), draw(C, k, b))):
+        assert np.array_equal(field.dot(A, B), brute_dot(field, A, B))
+    assert type(field.dot(draw(k), draw(k))) is int
+    full = np.full(k, field.q - 1)
+    assert field.dot(full, full) == brute_dot(field, full, full)

@@ -26,11 +26,14 @@ from conftest import (
     term_loop_str,
 )
 
-# every small ring, and r = 4 and r = 5 rings with lengths >= 3, whose
-# names carry powers such as x1^2x3
+# every small ring, r = 4 and r = 5 rings with lengths >= 3, whose names
+# carry powers such as x1^2x3, and rings with length-1 axes, which
+# enumerate_rings never makes
 ORDER_RINGS = enumerate_rings() + [
     Ring(Field(7), (3, 3, 3, 3)), Ring(Field(5), (4, 4, 4, 4)),
-    Ring(Field(7), (6, 3, 3, 3, 3)), Ring(Field(3, 2), (4, 4, 4, 4, 4))]
+    Ring(Field(7), (6, 3, 3, 3, 3)), Ring(Field(3, 2), (4, 4, 4, 4, 4)),
+    Ring(Field(7), (3, 1, 2)), Ring(Field(5), (1, 4)),
+    Ring(Field(3), (2, 1, 1, 2))]
 
 
 def test_ring_new_valid(ring3):
@@ -87,8 +90,7 @@ def test_monomial_order_graded_lex(ring3):
         (1, 1, 0), (1, 0, 1), (0, 1, 1),
         (1, 1, 1),
     ]
-    assert [ring3.monomial_str(m) for m in ring3.monomials] == [
-        "1", "x", "y", "z", "xy", "xz", "yz", "xyz"]
+    assert ring3.labels == ("1", "x", "y", "z", "xy", "xz", "yz", "xyz")
 
 
 @pytest.mark.parametrize("ring", ORDER_RINGS, ids=repr)
@@ -99,15 +101,24 @@ def test_monomial_table_matches_oracle(ring):
     assert np.array_equal(ring._gather, ravel_gather(ring.lengths, monomials))
     names = tuple(monomial_name(ring.r, e) for e in monomials)
     assert ring.labels == names
-    assert [ring.monomial_str(e) for e in monomials] == list(names)
 
 
 def test_labels_of_wide_rings():
     assert Ring(Field(7), (3, 3, 3, 3)).labels[:8] == (
         "1", "x1", "x2", "x3", "x4", "x1^2", "x1x2", "x1x3")
     ring = Ring(Field(7), (6, 3, 3, 3, 3))
-    assert ring.monomial_str((2, 0, 1, 0, 2)) == "x1^2x3x5^2"
+    assert ring.labels[ring.monomials.index((2, 0, 1, 0, 2))] == "x1^2x3x5^2"
     assert ring.labels[-1] == "x1^5x2^2x3^2x4^2x5^2"
+
+
+def test_labels_of_the_big_rings():
+    # the two N = 4,096 rings of the big-ring benchmark
+    ring = Ring(Field(17), (16, 16, 16))
+    assert ring.labels[:8] == ("1", "x", "y", "z", "x^2", "xy", "xz", "y^2")
+    assert ring.labels[-1] == "x^15y^15z^15"
+    ring = Ring(Field(3, 2), (8, 8, 8, 8))
+    assert ring.labels[0] == "1"
+    assert ring.labels[-1] == "x1^7x2^7x3^7x4^7"
 
 
 @settings(max_examples=60, deadline=None)

@@ -178,3 +178,16 @@ def test_set_idempotents_multiply_as_indicators(ring, data):
     for idx in S:
         total = total + closed_form_primitive_idempotent(ring, idx)
     assert eS == total
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_support_is_strictly_increasing(ring, data):
+    values = np.array(data.draw(st.lists(st.integers(0, ring.field.q - 1),
+                                         min_size=ring.N, max_size=ring.N)))
+    values = values.reshape(ring.lengths)
+    support = Spectrum(ring, values).support()
+    assert all(a < b for a, b in zip(support, support[1:]))
+    # the oracle sorts explicitly
+    assert support == sorted(map(tuple, np.argwhere(values != 0).tolist()))
