@@ -119,13 +119,13 @@ def record_to_text(rec: CodeRecord) -> str:
     lines.append(f"singleton bound: {rec.singleton_bound}")
     lines.append(f"idempotent: {rec.idempotent}")
     lines.append(f"generator matrix (columns: {', '.join(rec.ring.labels)}):")
-    for row in rec.generator.array:
+    for row in rec.generator.array.tolist():
         lines.append("  " + " ".join(map(str, row)))
     return "\n".join(lines)
 
 
 def record_to_csv(rec: CodeRecord) -> str:
-    rows = [",".join(map(str, row)) for row in rec.generator.array]
+    rows = [",".join(map(str, row)) for row in rec.generator.array.tolist()]
     return "\n".join([",".join(rec.ring.labels)] + rows)
 
 

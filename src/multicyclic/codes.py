@@ -1,12 +1,13 @@
-"""Multicyclic code construction: generating idempotent, shift-degree
-profile (read off the spectral support), polynomial basis (the monomial
-multiples of e at the pivot columns of the K x N character matrix of the
-defining set), generator matrix, exact minimum distance and
-the product bound, plus exhaustive/randomized search over orbit unions,
-which groups its candidates into translation classes with one
-np.lexsort, weighs the codes of all classes in one batched pass over the
-primitive idempotents of each defining set, and returns a read-only
-sequence that forms each ranked row when it is read.
+"""Multicyclic code construction: the generating idempotent (the sum of
+the rows of one K x N table of the primitive idempotents of the defining
+set S), shift-degree profile (k_t = |proj_t(S)|), polynomial basis and
+generator matrix (the monomial multiples of e at the pivot columns of
+the K x N character matrix of S, one field product with the table),
+exact minimum distance and the product bound, plus exhaustive/randomized
+search over orbit unions, which groups its candidates into translation
+classes with one np.lexsort, weighs the codes of all classes in one
+batched pass over the primitive idempotents of each defining set, and
+returns a read-only sequence that forms each ranked row when it is read.
 
 The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the
@@ -18,7 +19,6 @@ give the weight distribution too.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -39,7 +39,7 @@ from .errors import (
 from .linalg import GfMatrix, rref
 from .orbits import closure
 from .ring import Poly, Ring
-from .spectral import fourier, idempotent_from_set
+from .spectral import fourier
 
 DEFAULT_BUDGET = 3_000_000
 # Field elements in one table: 8 MB of int64.  `verify` refuses a ring
@@ -93,35 +93,31 @@ def k_profile(e: Poly) -> tuple:
     return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
-def build_basis(e: Poly, S, kp: tuple):
-    """Basis polynomials for <e>, e the idempotent of the defining set S:
-    the monomial multiples of e that raise the rank, in monomial order.
+def build_basis(ring: Ring, S, kp: tuple, chars, E):
+    """(G, kind): the generator matrix of the code of the defining set S,
+    whose rows are the monomial multiples of e that raise the rank, in
+    monomial order, and its basis kind.  chars and E are the K x N
+    `_character_rows` of S in C order, forward (w^(j.m)) and inverse (the
+    primitive idempotents e_j), and kp = (|proj_t(S)|)_t.
 
     X^m e = sum_{j in S} w^(j.m) e_j, so the basis exponents are the pivot
-    columns of the rref of the K x N character matrix (w^(j.m)), columns
-    in monomial order.  X^m e with some m_t >= k_t depends on multiples
-    of lower degree, so the pivots lie inside the box m_t < k_t; they are
-    the whole box, in the same order, exactly when prod(k_t) = K, i.e.
-    when the defining set is the product of its projections."""
-    ring = e.ring
+    columns of the rref of the character matrix, columns in monomial
+    order, and the rows are one field product of the pivot characters
+    with E.  X^m e with some m_t >= k_t depends on multiples of lower
+    degree, so the pivots lie inside the box m_t < k_t; they are the
+    whole box, in the same order, exactly when prod(k_t) = K, i.e. when
+    the defining set is the product of its projections."""
     K = len(S)
-    sets = np.array(sorted(S), dtype=np.int64).reshape(1, K, ring.r)
-    chars = _character_rows(ring, sets, inverse=False)[0]
     # the box lies in the monomials of degree <= sum(k_t - 1), a prefix of
     # the order, and a column's pivot status depends only on earlier ones
-    width = bisect.bisect_right(ring.monomials, sum(kp) - ring.r, key=sum)
+    width = np.searchsorted(ring._degree, sum(kp) - ring.r, side="right")
     _, rank, pivots = rref(GfMatrix(ring.field, chars[:, ring._gather[:width]]))
     if rank < K:
         raise RankDeficient(
             f"monomial multiples of e span rank {rank}, expected {K}")
-    basis = [e.translate(ring.monomials[c]) for c in pivots]
-    return basis, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
-
-
-def generator_matrix(basis, ring: Ring) -> GfMatrix:
-    """Rows are basis-polynomial coefficient vectors in monomial order."""
-    rows = np.array([p.vector() for p in basis], dtype=np.int64)
-    return GfMatrix(ring.field, rows.reshape(-1, ring.N))
+    rows = ring.field.dot(chars[:, ring._gather[pivots]].T, E)
+    G = GfMatrix(ring.field, rows[:, ring._gather])
+    return G, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
 
 
 def _character_rows(ring: Ring, sets, inverse: bool) -> np.ndarray:
@@ -323,19 +319,28 @@ def bound_applicable(S, lengths, kp) -> bool:
 
 
 def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
-    """Full pipeline: close the seeds under the Frobenius action, build
-    the generating idempotent, the basis and generator matrix, and the
-    exact distance (`orbit_distance`) when q^K fits the budget."""
+    """Full pipeline: close the seeds under the Frobenius action into the
+    defining set S, form the K x N table E of the primitive idempotents
+    e_j, j in S, and the characters w^(j.m) of S once
+    (`_character_rows`), and read everything else off them: the
+    generating idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|
+    and the generator matrix (`build_basis`).  Then the exact distance
+    (`orbit_distance`) when q^K fits the budget."""
     S = closure(seeds, ring.lengths, ring.field.q)
     K = len(S)
-    e = idempotent_from_set(ring, S)
     n = ring.N
+    fld = ring.field
     if K == 0:
-        return CodeRecord(ring=ring, defining_set=S, idempotent=e, n=n, K=0,
-                          generator=generator_matrix([], ring))
-    kp = k_profile(e)
-    basis, kind = build_basis(e, S, kp)
-    G = generator_matrix(basis, ring)
+        return CodeRecord(ring=ring, defining_set=S, idempotent=ring.zero(),
+                          n=n, K=0, generator=GfMatrix(fld, np.zeros((0, n))))
+    sets = np.array(S, dtype=np.int64).reshape(1, K, ring.r)
+    E = _character_rows(ring, sets, inverse=True)[0]
+    chars = _character_rows(ring, sets, inverse=False)[0]
+    e = Poly(ring, fld.dot(np.ones(K, dtype=np.int64), E).reshape(ring.lengths))
+    kp = tuple(len(set(axis)) for axis in zip(*S))
+    G, kind = build_basis(ring, S, kp, chars, E)
+    # the distance pass forms its own rows: free these before it
+    del E, chars
     if rref(G)[1] != K:
         raise RankDeficient("generator matrix rank disagrees with |S|")
     pb = product_bound(ring.lengths, kp)

@@ -3,7 +3,8 @@
 No fraction-free or floating-point paths: all entries live in the field
 and elimination uses field inversion directly.  `rref` is the one
 elimination: it gives the rank check of a generator matrix and, from the
-pivots of the K x N character matrix, the basis of `codes.build_basis`.
+pivots of the K x N character matrix, the monomials whose multiples of e
+are the generator rows of `codes.build_basis`.
 """
 
 from __future__ import annotations

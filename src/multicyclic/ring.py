@@ -28,8 +28,8 @@ from .gf import Field
 
 _VAR_NAMES_SHORT = ("x", "y", "z")
 
-# Largest number of coefficients N = prod(n_t); the sorted monomial list
-# alone is O(N) Python tuples.
+# Largest number of coefficients N = prod(n_t); the monomial list, once
+# read, is O(N) Python tuples.
 MAX_N = 1 << 16
 # Longest axis: its n_t x n_t transform tables hold <= 2^20 entries (8 MB).
 MAX_AXIS = 1 << 10
@@ -61,8 +61,17 @@ class Ring:
         # sorts by its last key first: total degree, then higher exponents
         # of X_1, X_2, ..., X_r first.
         box = np.indices(lengths).reshape(self.r, N)
-        self._gather = np.lexsort(np.vstack([-box[::-1], box.sum(axis=0)]))
-        self.monomials = list(zip(*box[:, self._gather].tolist()))
+        degree = box.sum(axis=0)
+        self._gather = np.lexsort(np.vstack([-box[::-1], degree]))
+        # total degree of each monomial, in the monomial order
+        self._degree = degree[self._gather]
+
+    @cached_property
+    def monomials(self) -> list:
+        """The exponent tuple of every monomial, in the monomial order,
+        formed when first read."""
+        exps = np.unravel_index(self._gather, self.lengths)
+        return list(zip(*np.array(exps).tolist()))
 
     @cached_property
     def labels(self) -> tuple:

@@ -635,6 +635,40 @@ def two_branch_build_basis(e, K, kp):
         f"monomial multiples of e span rank {red.rank}, expected {K}")
 
 
+def rolled_build_basis(e, S, kp: tuple):
+    """Oracle: basis polynomials for <e>, e the idempotent of the defining
+    set S, as shifted copies of e: one `Poly.translate` of e per pivot
+    column of the rref of the K x N character matrix, columns in monomial
+    order."""
+    ring = e.ring
+    K = len(S)
+    sets = np.array(sorted(S), dtype=np.int64).reshape(1, K, ring.r)
+    chars = codes._character_rows(ring, sets, inverse=False)[0]
+    _, rk, pivots = rref(GfMatrix(ring.field, chars[:, ring._gather]))
+    if rk < K:
+        raise RankDeficient(
+            f"monomial multiples of e span rank {rk}, expected {K}")
+    basis = [e.translate(ring.monomials[c]) for c in pivots]
+    return basis, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
+
+
+def generator_matrix(basis, ring) -> GfMatrix:
+    """Oracle: rows are basis-polynomial coefficient vectors in monomial
+    order."""
+    rows = np.array([p.vector() for p in basis], dtype=np.int64)
+    return GfMatrix(ring.field, rows.reshape(-1, ring.N))
+
+
+def table_build_basis(ring, S, kp: tuple):
+    """`codes.build_basis` on the character and idempotent tables of S,
+    formed as `construct` forms them."""
+    S = sorted(S)
+    sets = np.array(S, dtype=np.int64).reshape(1, len(S), ring.r)
+    chars = codes._character_rows(ring, sets, inverse=False)[0]
+    E = codes._character_rows(ring, sets, inverse=True)[0]
+    return codes.build_basis(ring, S, kp, chars, E)
+
+
 def translation_key(S, lengths) -> tuple:
     """Oracle: the least translate of S, sorted, coordinates mod n_t.  It
     puts some s in S at the origin, so the K translates S - s are enough."""

@@ -290,6 +290,32 @@ def test_search_stdout_pinned(capsys, p, lengths, K, fmt, top):
     assert digest == SEARCH_STDOUT_SHA256[p, lengths, K, fmt, top]
 
 
+# sha256 of `construct` stdout on the two N = 4,096 rings of the big-ring
+# benchmark, taken when e was the inverse transform of the indicator of S
+# and the generator rows were shifted copies of e
+CONSTRUCT_STDOUT_SHA256 = {
+    ("--p", "17", "--lengths", "16,16,16", "--seeds", "(0,0,0);(1,0,0)"): {
+        "text": "121c2d2572d99b4cdd5cfbee03167c145ba0008e2511b3d9855565c0846fed15",
+        "json": "c577f83812ff632c195a73c1d248a34cb5ec065a4e33ecc74af4e63141ceaa8d",
+        "csv": "03285e310624ee762ad48d09a68f65c67151223985fc1ec545cf939660bdec11",
+    },
+    ("--p", "3", "--m", "2", "--lengths", "8,8,8,8", "--seeds", "(0,0,0,0);(1,0,0,0)"): {
+        "text": "9289f053c3f629498f8129429dccc8ec620ee38d54331faf5bbe65f1cef115f7",
+        "json": "ffbac939c49d4b73d28f8167b229d4c5abd7b2797328f3956a96b2bebfe557fe",
+        "csv": "cd9b95b50f35c6068863c20f37a57f4340eb3a9a6df614a4de0b352e8c873bbf",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", CONSTRUCT_STDOUT_SHA256, ids=lambda a: a[-3])
+def test_construct_stdout_pinned(capsys, argv, fmt):
+    code, out, _ = run(capsys, "construct", *argv, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CONSTRUCT_STDOUT_SHA256[argv][fmt]
+
+
 def test_search_constructs_only_printed_rows(capsys, monkeypatch):
     built = []
     real = cli.construct

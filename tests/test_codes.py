@@ -27,6 +27,7 @@ from multicyclic import (
     weight_distribution,
 )
 from multicyclic import codes
+from multicyclic.cli import record_to_text
 from multicyclic.codes import (
     BASIS_BOX,
     BASIS_GREEDY,
@@ -368,6 +369,45 @@ def test_orbit_route_in_bounded_memory():
         tracemalloc.stop()
     assert d == 42
     assert peak < 2 * 2 ** 20
+
+
+# the two codes of the benchmark's big-ring workload, both N = 4,096
+BIG_RING_CODES = [
+    ((17,), (16, 16, 16), [(0, 0, 0), (1, 0, 0)]),
+    ((3, 2), (8, 8, 8, 8), [(0, 0, 0, 0), (1, 0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("field,lengths,seeds", BIG_RING_CODES,
+                         ids=["16x16x16_17", "8x8x8x8_9"])
+def test_construct_reads_the_table_without_a_transform(field, lengths, seeds,
+                                                       monkeypatch):
+    calls = []
+    real = Ring.transform
+
+    def counting(self, tensor, inverse=False):
+        calls.append(inverse)
+        return real(self, tensor, inverse)
+    monkeypatch.setattr(Ring, "transform", counting)
+    ring = Ring(Field(*field), lengths)
+    rec = construct(ring, seeds)
+    assert calls == []
+    record_to_text(rec)
+    assert "monomials" not in ring.__dict__
+
+
+def test_construct_on_a_big_ring_in_bounded_memory():
+    # one window holds the ring and its construct; with e transformed
+    # twice and copied once per basis row it peaked at 1.22 MB
+    field, lengths, seeds = BIG_RING_CODES[1]
+    tracemalloc.start()
+    try:
+        rec = construct(Ring(Field(*field), lengths), seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.params() == "[4096, 2, 3584]_9"
+    assert peak < 1.1e6
 
 
 def test_min_distance_weighs_by_comparison_in_bounded_memory():

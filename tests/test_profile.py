@@ -1,6 +1,8 @@
 """The k profile read off the spectrum and the character-pivot basis against
 the rank-scan oracles in conftest, on random defining sets and random
-non-idempotent elements over every ring of the family."""
+non-idempotent elements over every ring of the family, and the record of
+`construct`, read off the table of primitive idempotents, against the
+shifted copies of e."""
 
 import itertools
 
@@ -9,14 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multicyclic import Field, Ring, fourier_inverse, idempotent_from_set, k_profile, rank
-from multicyclic.codes import BASIS_BOX, build_basis, generator_matrix
+from multicyclic import (
+    Field,
+    Ring,
+    construct,
+    fourier_inverse,
+    idempotent_from_set,
+    k_profile,
+    rank,
+)
+from multicyclic.codes import BASIS_BOX
 from multicyclic.spectral import Spectrum
 
 from conftest import (
     enumerate_rings,
+    generator_matrix,
     rank_scan_k_profile,
+    rolled_build_basis,
     scan_build_basis,
+    table_build_basis,
     two_branch_build_basis,
 )
 
@@ -59,9 +72,26 @@ def test_build_basis_matches_two_branch_oracle(ring, data):
     S = data.draw(defining_sets(ring))
     e = idempotent_from_set(ring, S)
     kp = k_profile(e)
-    basis, kind = build_basis(e, S, kp)
-    assert (basis, kind) == two_branch_build_basis(e, len(S), kp)
-    assert rank(generator_matrix(basis, ring)) == len(S)
+    G, kind = table_build_basis(ring, S, kp)
+    basis, oracle_kind = two_branch_build_basis(e, len(S), kp)
+    assert (G, kind) == (generator_matrix(basis, ring), oracle_kind)
+    assert rank(G) == len(S)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@oracle_settings
+@given(data=st.data())
+def test_construct_matches_rolled_copies_of_e(ring, data):
+    one = [data.draw(st.sampled_from(ring.monomials))]
+    for S in (one, ring.monomials, data.draw(defining_sets(ring))):
+        rec = construct(ring, S, budget=0)
+        e = idempotent_from_set(ring, S)
+        kp = k_profile(e)
+        basis, kind = rolled_build_basis(e, S, kp)
+        assert rec.generator == generator_matrix(basis, ring)
+        assert rec.basis_kind == kind
+        assert rec.idempotent == e
+        assert rec.k_profile == k_profile(rec.idempotent) == kp
 
 
 # every ring of the family and two with four axes
@@ -84,7 +114,8 @@ def test_build_basis_matches_scan_oracle(ring, data):
     for S in (data.draw(box_sets(ring)), data.draw(defining_sets(ring))):
         e = idempotent_from_set(ring, S)
         kp = k_profile(e)
-        basis, kind = build_basis(e, S, kp)
-        assert (basis, kind) == scan_build_basis(e, len(S), kp)
+        G, kind = table_build_basis(ring, S, kp)
+        basis, oracle_kind = scan_build_basis(e, len(S), kp)
+        assert (G, kind) == (generator_matrix(basis, ring), oracle_kind)
         kinds.append(kind)
     assert kinds[0] == BASIS_BOX

@@ -103,6 +103,17 @@ def test_monomial_table_matches_oracle(ring):
     assert ring.labels == names
 
 
+@pytest.mark.parametrize("ring", ORDER_RINGS, ids=repr)
+def test_monomials_are_formed_when_read(ring):
+    fresh = Ring(ring.field, ring.lengths)
+    assert "monomials" not in fresh.__dict__
+    monomials = graded_lex_monomials(ring.lengths)
+    assert fresh._degree.tolist() == [sum(e) for e in monomials]
+    assert fresh.monomials == monomials
+    assert fresh._degree.tolist() == [sum(e) for e in fresh.monomials]
+    assert fresh.monomials is fresh.monomials
+
+
 def test_labels_of_wide_rings():
     assert Ring(Field(7), (3, 3, 3, 3)).labels[:8] == (
         "1", "x1", "x2", "x3", "x4", "x1^2", "x1x2", "x1x3")
