@@ -12,7 +12,7 @@ from .codes import (
     weight_distribution,
 )
 from .gf import Field
-from .linalg import GfMatrix, rank, rref
+from .linalg import GfMatrix, rank
 from .orbits import (
     Orbit,
     all_orbits,
@@ -36,7 +36,7 @@ __all__ = [
     "Ring", "SearchRow", "Spectrum", "all_orbits", "closure", "combinatorial_form",
     "construct", "fourier", "fourier_inverse", "frobenius",
     "idempotent_from_set", "k_profile", "orbit_distance", "orbit_of",
-    "primitive_idempotent", "product_bound", "rank", "rref", "search",
+    "primitive_idempotent", "product_bound", "rank", "search",
     "theta", "weight_distribution",
 ]
 

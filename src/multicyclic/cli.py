@@ -26,7 +26,7 @@ import sys
 from .codes import DEFAULT_BUDGET, CodeRecord, construct, literal_monomial_sum, search
 from .errors import BudgetExceeded, Infeasible, MulticyclicError, OrderNotDividing
 from .gf import Field
-from .linalg import rref
+from .linalg import rank
 from .ring import Ring
 from .spectral import fourier
 from .verify import property_suite, reference_mismatches, reference_records
@@ -143,7 +143,7 @@ def readback_check(rec: CodeRecord) -> None:
     if rec.K == 0:
         return
     ring = rec.ring
-    if rref(rec.generator)[1] != rec.K:
+    if rank(rec.generator) != rec.K:
         raise MulticyclicError("read-back: rank mismatch")
     S = set(rec.defining_set)
     for row in rec.generator.array:
@@ -168,9 +168,6 @@ def cmd_construct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.top < 0:
-        print(f"error: --top must be 0 or more, got {args.top}", file=sys.stderr)
-        return EXIT_VALIDATION
     ring = _build_ring(args)
     rows = search(ring, args.K, budget=args.budget, seed=args.seed)
     top = []
@@ -288,6 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("top", "budget"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            print(f"error: --{flag} must be 0 or more, got {value}", file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         code = args.func(args)
         if sys.stdout is not None:      # None if started with fd 1 closed

@@ -36,7 +36,7 @@ from .errors import (
     RankDeficient,
     ZeroIdempotent,
 )
-from .linalg import GfMatrix, rref
+from .linalg import GfMatrix, pivot_columns, rank
 from .orbits import closure
 from .ring import Poly, Ring
 from .spectral import fourier
@@ -100,21 +100,21 @@ def build_basis(ring: Ring, S, kp: tuple, chars, E):
     `_character_rows` of S in C order, forward (w^(j.m)) and inverse (the
     primitive idempotents e_j), and kp = (|proj_t(S)|)_t.
 
-    X^m e = sum_{j in S} w^(j.m) e_j, so the basis exponents are the pivot
-    columns of the rref of the character matrix, columns in monomial
-    order, and the rows are one field product of the pivot characters
-    with E.  X^m e with some m_t >= k_t depends on multiples of lower
-    degree, so the pivots lie inside the box m_t < k_t; they are the
-    whole box, in the same order, exactly when prod(k_t) = K, i.e. when
-    the defining set is the product of its projections."""
+    X^m e = sum_{j in S} w^(j.m) e_j, so the basis exponents are the
+    `pivot_columns` of the character matrix, columns in monomial order,
+    and the rows are one field product of the pivot characters with E.
+    X^m e with some m_t >= k_t depends on multiples of lower degree, so
+    the pivots lie inside the box m_t < k_t; they are the whole box, in
+    the same order, exactly when prod(k_t) = K, i.e. when the defining
+    set is the product of its projections."""
     K = len(S)
     # the box lies in the monomials of degree <= sum(k_t - 1), a prefix of
     # the order, and a column's pivot status depends only on earlier ones
     width = np.searchsorted(ring._degree, sum(kp) - ring.r, side="right")
-    _, rank, pivots = rref(GfMatrix(ring.field, chars[:, ring._gather[:width]]))
-    if rank < K:
+    pivots = pivot_columns(GfMatrix(ring.field, chars[:, ring._gather[:width]]))
+    if len(pivots) < K:
         raise RankDeficient(
-            f"monomial multiples of e span rank {rank}, expected {K}")
+            f"monomial multiples of e span rank {len(pivots)}, expected {K}")
     rows = ring.field.dot(chars[:, ring._gather[pivots]].T, E)
     G = GfMatrix(ring.field, rows[:, ring._gather])
     return G, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
@@ -341,7 +341,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     G, kind = build_basis(ring, S, kp, chars, E)
     # the distance pass forms its own rows: free these before it
     del E, chars
-    if rref(G)[1] != K:
+    if rank(G) != K:
         raise RankDeficient("generator matrix rank disagrees with |S|")
     pb = product_bound(ring.lengths, kp)
     applicable = bound_applicable(S, ring.lengths, kp)

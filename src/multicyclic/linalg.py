@@ -1,10 +1,10 @@
-"""Exact Gauss-Jordan linear algebra over F_q.
+"""Exact forward elimination over F_q.
 
 No fraction-free or floating-point paths: all entries live in the field
-and elimination uses field inversion directly.  `rref` is the one
-elimination: it gives the rank check of a generator matrix and, from the
-pivots of the K x N character matrix, the monomials whose multiples of e
-are the generator rows of `codes.build_basis`.
+and elimination uses field inversion directly.  `pivot_columns` is the
+one elimination: it gives the rank check of a generator matrix and, from
+the pivots of the K x N character matrix, the monomials whose multiples
+of e are the generator rows of `codes.build_basis`.
 """
 
 from __future__ import annotations
@@ -44,37 +44,34 @@ class GfMatrix:
         return f"GfMatrix({self.array.tolist()})"
 
 
-def rref(M: GfMatrix):
-    """Reduced row-echelon form: returns (R, rank, pivot_columns).
+def pivot_columns(M: GfMatrix) -> list:
+    """The pivot columns of M in increasing order; their number is its rank.
 
-    Pivot choice is deterministic: first nonzero entry in column order.
-    """
+    Forward elimination: in column order, the pivot is the first nonzero
+    entry at or below the current row, swapped up to it, and each row
+    below is reduced by A[r, col] / A[row, col] times the unscaled pivot
+    row.  The pivots are those of the reduced row-echelon form."""
     fld = M.field
     A = M.array.copy()
     rows, cols = A.shape
     pivots = []
-    row = 0
     for col in range(cols):
-        if row >= rows:
+        row = len(pivots)
+        if row == rows:
             break
-        pivot_row = None
-        for r in range(row, rows):
-            if A[r, col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        below = np.flatnonzero(A[row:, col])
+        if below.size == 0:
             continue
-        if pivot_row != row:
-            A[[row, pivot_row]] = A[[pivot_row, row]]
-        A[row] = np.asarray(fld.mul(fld.inv(int(A[row, col])), A[row]))
-        for r in range(rows):
-            if r != row and A[r, col]:
-                A[r] = np.asarray(fld.sub(A[r], fld.mul(int(A[r, col]), A[row])))
+        if below[0]:
+            A[[row, row + below[0]]] = A[[row + below[0], row]]
+        inv = fld.inv(int(A[row, col]))
+        for r in range(row + 1, rows):
+            if A[r, col]:
+                factor = fld.mul(int(A[r, col]), inv)
+                A[r, col:] = fld.sub(A[r, col:], fld.mul(factor, A[row, col:]))
         pivots.append(col)
-        row += 1
-    return GfMatrix(fld, A), len(pivots), pivots
+    return pivots
 
 
 def rank(M: GfMatrix) -> int:
-    return rref(M)[1]
-
+    return len(pivot_columns(M))

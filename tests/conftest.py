@@ -19,7 +19,7 @@ from multicyclic.errors import (
     RankDeficient,
     ZeroIdempotent,
 )
-from multicyclic.linalg import GfMatrix, rank, rref
+from multicyclic.linalg import GfMatrix, rank
 from multicyclic.ring import Poly
 from multicyclic.spectral import Spectrum
 
@@ -492,6 +492,37 @@ def dual_defining_set(ring, S) -> list:
     """{j : -j not in S}, the defining set of the dual code."""
     neg = {tuple(-i % n for i, n in zip(j, ring.lengths)) for j in S}
     return [j for j in ring.monomials if j not in neg]
+
+
+def rref(M: GfMatrix):
+    """Reduced row-echelon form: returns (R, rank, pivot_columns).
+
+    Pivot choice is deterministic: first nonzero entry in column order.
+    """
+    fld = M.field
+    A = M.array.copy()
+    rows, cols = A.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        pivot_row = None
+        for r in range(row, rows):
+            if A[r, col]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != row:
+            A[[row, pivot_row]] = A[[pivot_row, row]]
+        A[row] = np.asarray(fld.mul(fld.inv(int(A[row, col])), A[row]))
+        for r in range(rows):
+            if r != row and A[r, col]:
+                A[r] = np.asarray(fld.sub(A[r], fld.mul(int(A[r, col]), A[row])))
+        pivots.append(col)
+        row += 1
+    return GfMatrix(fld, A), len(pivots), pivots
 
 
 class RowReducer:

@@ -19,11 +19,10 @@ from multicyclic import (
     fourier_inverse,
     idempotent_from_set,
     primitive_idempotent,
-    rref,
     search,
 )
 
-from conftest import enumerate_rings, in_span, one_hot
+from conftest import enumerate_rings, in_span, one_hot, rref
 
 REFERENCE_SEEDS_K3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
 REFERENCE_SEEDS_K4 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from multicyclic import cli, codes, verify
+from multicyclic import Field, Ring, cli, codes, linalg, verify
 from multicyclic.cli import format_defining_set, main, parse_seeds
 from multicyclic.codes import SearchRow
 from multicyclic.errors import MulticyclicError
@@ -131,6 +131,18 @@ def test_search_negative_top_rejected(capsys):
                          "--K", "3", "--top", "-54")
     assert code == 2 and "--top" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command, zero_budget_exit", [
+    (("construct", "--seeds", "(0,0,0)"), 0), (("search", "--K", "3"), 4)])
+def test_negative_budget_rejected(capsys, command, zero_budget_exit):
+    argv = (command[0], "--p", "3", "--lengths", "2,2,2", *command[1:])
+    code, out, err = run(capsys, *argv, "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: --budget must be 0 or more, got -5\n"
+    # 0 is a budget: construct skips the distance, search cannot rank
+    code, _, err = run(capsys, *argv, "--budget", "0")
+    assert code == zero_budget_exit and "must be 0 or more" not in err
 
 
 def test_search_reference(capsys):
@@ -329,6 +341,23 @@ def test_search_constructs_only_printed_rows(capsys, monkeypatch):
                        "--K", "4", "--top", "3")
     assert code == 0 and "70 candidates" in out
     assert len(built) == 3
+
+
+def test_every_rank_check_is_one_elimination(monkeypatch):
+    # construct eliminates the basis prefix and G, the read-back G again:
+    # dropping either rank check changes the count
+    eliminated = []
+    real = linalg.pivot_columns
+
+    def counting(M):
+        eliminated.append(M)
+        return real(M)
+    monkeypatch.setattr(linalg, "pivot_columns", counting)
+    monkeypatch.setattr(codes, "pivot_columns", counting)
+    rec = codes.construct(Ring(Field(5), (4, 4)), [(0, 0), (1, 1)])
+    assert len(eliminated) == 2 and eliminated[1] is rec.generator
+    cli.readback_check(rec)
+    assert len(eliminated) == 3 and eliminated[2] is rec.generator
 
 
 def test_search_readback_failure_prints_nothing(capsys, monkeypatch):

@@ -21,7 +21,6 @@ from multicyclic import (
     k_profile,
     orbit_distance,
     rank,
-    rref,
     search,
     theta,
     weight_distribution,
@@ -50,6 +49,7 @@ from conftest import (
     macwilliams_transform,
     min_distance,
     one_hot,
+    rref,
     spectral_min_distance,
 )
 

@@ -1,12 +1,18 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from multicyclic import Field, GfMatrix, rank, rref
+import multicyclic
+from multicyclic import Field, GfMatrix, rank
 from multicyclic.errors import DimensionMismatch
-from conftest import RowReducer, in_span
+from multicyclic.linalg import pivot_columns
+from conftest import RowReducer, in_span, rref
 
 REFERENCE_G = [
     [0, 2, 2, 0, 1, 2, 2, 1],
@@ -112,3 +118,48 @@ def test_row_reducer_matches_rref_rank(f5):
         kept = GfMatrix(f5, np.array(red.rows, dtype=np.int64).reshape(red.rank, M.cols))
         for row in M.array:
             assert in_span(row, kept) is not None
+
+
+# prime, characteristic 2 and odd extension fields
+ORACLE_FIELDS = [Field(5), Field(2, 3), Field(3, 2), Field(2, 4), Field(17)]
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Up to 6 x 10 over an oracle field, likely rank deficient: a product
+    of factors through up to 6 dimensions, maybe its rows drawn with
+    repeats, maybe some columns zeroed."""
+    fld = draw(st.sampled_from(ORACLE_FIELDS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 10))
+    inner = draw(st.integers(0, 6))
+    entries = st.integers(0, fld.q - 1)
+    L = draw(hnp.arrays(np.int64, (rows, inner), elements=entries, fill=st.nothing()))
+    R = draw(hnp.arrays(np.int64, (inner, cols), elements=entries, fill=st.nothing()))
+    A = np.asarray(fld.dot(L, R), dtype=np.int64).reshape(rows, cols)
+    if draw(st.booleans()):
+        A = A[draw(st.lists(st.integers(0, max(rows - 1, 0)), min_size=rows, max_size=rows))]
+    if draw(st.booleans()):
+        A[:, draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=min(cols, 3)))] = 0
+    return GfMatrix(fld, A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=deficient_matrices())
+def test_pivot_columns_match_rref(M):
+    before = M.array.copy()
+    with mock.patch.object(M.field, "inv", wraps=M.field.inv) as inv:
+        _, rk, pivots = rref(M)
+        assert pivot_columns(M) == pivots
+    # the same pivot entries: rows below a pivot reduce as under rref
+    inverted = [call.args[0] for call in inv.call_args_list]
+    assert inverted == 2 * inverted[:rk]
+    assert rank(M) == rk
+    assert np.array_equal(M.array, before)
+
+
+def test_public_api_resolves_without_rref():
+    for name in multicyclic.__all__:
+        assert getattr(multicyclic, name) is not None
+    assert "rref" not in multicyclic.__all__
+    assert not hasattr(multicyclic, "rref")
+    assert not hasattr(multicyclic.linalg, "rref")
