@@ -4,10 +4,11 @@ set S), shift-degree profile (k_t = |proj_t(S)|), polynomial basis and
 generator matrix (the monomial multiples of e at the pivot columns of
 the K x N character matrix of S, one field product with the table),
 exact minimum distance and the product bound, plus exhaustive/randomized
-search over orbit unions, which groups its candidates into translation
-classes with one np.lexsort, weighs the codes of all classes in one
-batched pass over the primitive idempotents of each defining set, and
-returns a read-only sequence that forms each ranked row when it is read.
+search over orbit unions, which groups its candidates into classes of
+translations and monomial automorphisms, weighs one code per class in
+one batched pass over the primitive idempotents of each defining set,
+and returns a read-only sequence that forms each ranked row when it is
+read.
 
 The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the
@@ -208,9 +209,10 @@ def _orbit_boxes(ring: Ring, S):
             stack.append((U + (i,), h + [hi], rest))
 
 
-def _orbit_blocks(ring: Ring, S):
+def _orbit_blocks(ring: Ring, S, E):
     """Weigh one codeword per orbit of the translations and scalars on
-    the nonzero messages over {e_j : j in S}, in blocks of at most
+    the nonzero messages over {e_j : j in S}, whose coefficients are the
+    rows of the K x N table E, in the order of S, in blocks of at most
     CLASS_BLOCK codeword entries (one codeword if N is larger); yield
     (weights, support, sizes) per block, where support[i] indexes sizes,
     the orbit size (q-1)^|U| / prod(h) of each support in the chunk.
@@ -225,10 +227,8 @@ def _orbit_blocks(ring: Ring, S):
     sum is 0 mod p."""
     fld = ring.field
     p, M, N = fld.p, fld.q - 1, ring.N
-    S = sorted(S)
     K = len(S)
-    sets = np.array(S, dtype=np.int64).reshape(1, K, ring.r)
-    logs = fld._log[_character_rows(ring, sets, inverse=True)[0]]
+    logs = fld._log[E]
     table = np.concatenate([fld._exp, fld._exp, np.zeros(M, dtype=np.int64)])
     if p > 2:
         table = table // p ** np.arange(fld.m)[:, None] % p
@@ -269,13 +269,26 @@ def _orbit_blocks(ring: Ring, S):
             yield np.count_nonzero(nonzero, axis=1), support, sizes
 
 
+def _idempotent_table(ring: Ring, S) -> np.ndarray:
+    """The K x N table of the primitive idempotents e_j, j in S, in the
+    order of S."""
+    sets = np.array(S, dtype=np.int64).reshape(1, len(S), ring.r)
+    return _character_rows(ring, sets, inverse=True)[0]
+
+
 def orbit_distance(ring: Ring, S) -> int:
     """Exact minimum distance of the code of the defining set S, from one
     codeword per orbit of the translations and scalars (see
     `_orbit_blocks`): weight is constant on an orbit."""
     if not len(S):
         raise ZeroIdempotent("zero code has no nonzero codewords")
-    return min(int(weights.min()) for weights, _, _ in _orbit_blocks(ring, S))
+    S = sorted(S)
+    return _orbit_distance(ring, S, _idempotent_table(ring, S))
+
+
+def _orbit_distance(ring: Ring, S, E) -> int:
+    """`orbit_distance` of S, given its table E (`_orbit_blocks`)."""
+    return min(int(weights.min()) for weights, _, _ in _orbit_blocks(ring, S, E))
 
 
 def weight_distribution(ring: Ring, S) -> list:
@@ -285,7 +298,8 @@ def weight_distribution(ring: Ring, S) -> list:
     A = [1] + [0] * N
     if not len(S):
         return A
-    for weights, support, sizes in _orbit_blocks(ring, S):
+    S = sorted(S)
+    for weights, support, sizes in _orbit_blocks(ring, S, _idempotent_table(ring, S)):
         counts = np.bincount(support * (N + 1) + weights)
         for i in np.flatnonzero(counts).tolist():
             s, w = divmod(i, N + 1)
@@ -325,7 +339,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     (`_character_rows`), and read everything else off them: the
     generating idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|
     and the generator matrix (`build_basis`).  Then the exact distance
-    (`orbit_distance`) when q^K fits the budget."""
+    (`orbit_distance`, on the same table E) when q^K fits the budget."""
     S = closure(seeds, ring.lengths, ring.field.q)
     K = len(S)
     n = ring.N
@@ -333,14 +347,14 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     if K == 0:
         return CodeRecord(ring=ring, defining_set=S, idempotent=ring.zero(),
                           n=n, K=0, generator=GfMatrix(fld, np.zeros((0, n))))
+    E = _idempotent_table(ring, S)
     sets = np.array(S, dtype=np.int64).reshape(1, K, ring.r)
-    E = _character_rows(ring, sets, inverse=True)[0]
     chars = _character_rows(ring, sets, inverse=False)[0]
     e = Poly(ring, fld.dot(np.ones(K, dtype=np.int64), E).reshape(ring.lengths))
     kp = tuple(len(set(axis)) for axis in zip(*S))
     G, kind = build_basis(ring, S, kp, chars, E)
-    # the distance pass forms its own rows: free these before it
-    del E, chars
+    # the distance pass reads only E: free the characters before it
+    del chars
     if rank(G) != K:
         raise RankDeficient("generator matrix rank disagrees with |S|")
     pb = product_bound(ring.lengths, kp)
@@ -349,7 +363,7 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     q = ring.field.q
     d = None
     if q ** K <= budget:
-        d = orbit_distance(ring, S)
+        d = _orbit_distance(ring, S, E)
     if d is not None and d > sb:
         raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
     if d is not None and applicable and d < pb:
@@ -401,27 +415,78 @@ class _RankedRows(Sequence):
         return SearchRow(tuple(map(self._reps.__getitem__, row)), self._K, dist)
 
 
+def _keep_least(best, rows) -> None:
+    """Keep in each row of best the lexicographically lesser of it and the
+    same row of rows, decided at the first position where the two differ."""
+    at = np.arange(len(best))
+    first = (rows != best).argmax(axis=1)
+    less = rows[at, first] < best[at, first]
+    best[less] = rows[less]
+
+
+def _anchored(coords, s: int, lengths) -> np.ndarray:
+    """Each candidate translated so that its member s sits at the origin,
+    as sorted C-order flat indices; coords holds the r contiguous (C, K)
+    per-axis coordinate arrays."""
+    flat = np.zeros(coords[0].shape, dtype=np.int64)
+    for t, coord in enumerate(coords):
+        flat += (coord - coord[:, s:s + 1]) % lengths[t] * math.prod(lengths[t + 1:])
+    flat.sort(axis=1)
+    return flat
+
+
 def translation_keys(cands, lengths) -> np.ndarray:
     """Row-wise least translate of each candidate, as sorted C-order flat
     indices: (C, K, r) coordinates give (C, K) keys, equal exactly when
     two candidates are translates of each other.  Each least translate
-    puts some member at the origin, so the K translates S - s are enough;
-    they are formed one at a time and each row keeps the lexicographically
-    least, decided at the first position where the two differ, in
-    O(C K r) memory."""
+    puts some member at the origin, so the K translates S - s are enough
+    (`_anchored`); they are formed one at a time and each row keeps the
+    lexicographically least, in O(C K r) memory."""
+    coords = [np.ascontiguousarray(cands[:, :, t]) for t in range(cands.shape[2])]
+    best = _anchored(coords, 0, lengths)
+    for s in range(1, cands.shape[1]):
+        _keep_least(best, _anchored(coords, s, lengths))
+    return best
+
+
+def _automorphisms(lengths):
+    """(count, elements) of the monomial automorphisms of the index group
+    Z_{n_1} x ... x Z_{n_r}: a permutation of axes of equal length, then
+    a unit of Z_{n_t} on each axis.  The elements come lazily as (perm,
+    units) pairs; image t of a point j is j[perm[t]] units[t] mod n_t."""
+    units = [[u for u in range(n) if math.gcd(u, n) == 1] for n in lengths]
+    count = math.prod(map(len, units))
+    for n in set(lengths):
+        count *= math.factorial(lengths.count(n))
+    perms = (p for p in itertools.permutations(range(len(lengths)))
+             if all(lengths[i] == n for i, n in zip(p, lengths)))
+    # itertools.product would list every permutation at once
+    return count, ((p, u) for p in perms for u in itertools.product(*units))
+
+
+def monomial_keys(cands, lengths) -> np.ndarray:
+    """The least `translation_keys` row over the images of each candidate
+    under the monomial automorphisms (`_automorphisms`): (C, K, r)
+    coordinates give (C, K) keys, equal exactly when two candidates are
+    equivalent under translations and automorphisms.  An automorphism
+    permutes the monomials and maps the code of S to that of its image,
+    an equivalent code.  The images are keyed a chunk of group elements
+    at a time, at most CLASS_BLOCK index entries per chunk, and each row
+    keeps a running least, in O(C K r) memory whatever the group size."""
     C, K, r = cands.shape
-    strides = [math.prod(lengths[t + 1:]) for t in range(r)]
-    rows = np.arange(C)
-    best = np.full((C, K), math.prod(lengths))
-    for s in range(K):
-        flat = np.zeros((C, K), dtype=np.int64)
-        for t in range(r):
-            coord = cands[:, :, t]
-            flat += (coord - coord[:, s:s + 1]) % lengths[t] * strides[t]
-        flat.sort(axis=1)
-        first = (flat != best).argmax(axis=1)
-        less = flat[rows, first] < best[rows, first]
-        best[less] = flat[less]
+    _, elements = _automorphisms(lengths)
+    best = None
+    while chunk := list(itertools.islice(elements, max(1, CLASS_BLOCK // (C * K)))):
+        perm = np.array([p for p, _ in chunk], dtype=np.int64)
+        units = np.array([u for _, u in chunk], dtype=np.int64)
+        # images[g, c, k, t] = cands[c, k, perm[g, t]] units[g, t] mod n_t
+        images = (cands[:, :, perm] * units % lengths).transpose(2, 0, 1, 3)
+        keys = translation_keys(images.reshape(-1, K, r), lengths)
+        for rows in keys.reshape(len(chunk), C, K):
+            if best is None:
+                best = rows.copy()
+            else:
+                _keep_least(best, rows)
     return best
 
 
@@ -490,13 +555,17 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     """All (or sampled) unions of orbits of total size K_target, ranked by
     exact distance descending, ties toward the lexicographically smallest
     defining set.  A translate S + a multiplies every codeword by a
-    character, so `class_distances` weighs one representative of each
-    class of `translation_keys` (K sorted translates of K indices per
-    candidate, on one array of all candidates, grouped by one np.lexsort
-    in `group_rows`), all classes in one batched pass and no `construct`;
-    every candidate gets its class's d, then a stable sort on d ranks
-    them.  The ranking stays as arrays: the result is a read-only
-    sequence that forms a SearchRow only when it is read.
+    character, and a monomial automorphism maps the code of S to an
+    equivalent one.  So `group_rows` groups the candidates at three
+    levels: by the translate that puts their least member at the origin,
+    each such set by `translation_keys`, and each translation class by
+    `monomial_keys` when weighing the translation classes would overflow
+    one CLASS_BLOCK and cost more than keying them.  `class_distances`
+    weighs one representative per final class in one batched pass and no
+    `construct`; every candidate gets its class's d through the composed
+    groupings, and a stable sort on d ranks them.  The ranking stays as
+    arrays: the result is a read-only sequence that forms a SearchRow
+    only when it is read.
     Raises BudgetExceeded, weighing nothing, when q^K_target > budget."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
@@ -523,8 +592,20 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     # orbits come sorted by representative, so each row of sel, and the
     # rows in their order, follow the lexicographic order of S
     reps = [o.representative for o in orbs]
+    lengths = ring.lengths
     coords = np.array(reps, dtype=np.int64)
-    first, inverse = group_rows(translation_keys(coords[sel], ring.lengths))
-    d = class_distances(ring, coords[sel[first]])[inverse]
+    # sel[:, 0] is each candidate's least member
+    first, of = group_rows(_anchored([coords[sel, t] for t in range(ring.r)],
+                                     0, lengths))
+    cls_first, cls_of = group_rows(translation_keys(coords[sel[first]], lengths))
+    classes, of = coords[sel[first[cls_first]]], cls_of[of]
+    # weighing a class takes messages x N entries; keying it takes, per
+    # group element, K translates of K r entries (`translation_keys`)
+    weigh = (q ** K_target - 1) // (q - 1) * ring.N
+    key = _automorphisms(lengths)[0] * K_target ** 2 * ring.r
+    if len(classes) * weigh > CLASS_BLOCK and key < weigh:
+        mono_first, mono_of = group_rows(monomial_keys(classes, lengths))
+        classes, of = classes[mono_first], mono_of[of]
+    d = class_distances(ring, classes)[of]
     order = np.argsort(-d, kind="stable")
     return _RankedRows(reps, sel[order], d[order], K_target)

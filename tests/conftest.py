@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from multicyclic import Field, Ring, codes, construct, fourier, fourier_inverse
+from multicyclic import (
+    Field, Ring, SearchRow, codes, construct, fourier, fourier_inverse)
 from multicyclic import orbits as orb_mod
 from multicyclic.codes import BASIS_BOX, BASIS_GREEDY, DEFAULT_BUDGET
 from multicyclic.gf import _poly_mulmod
@@ -707,6 +708,31 @@ def translation_key(S, lengths) -> tuple:
                             for x in S)) for s in S)
 
 
+def monomial_automorphisms(lengths):
+    """Oracle: every monomial automorphism of the index group, as a
+    function on index tuples: j -> (u_t j_pi(t) mod n_t)_t for a
+    permutation pi of the axes that keeps every length and units u_t of
+    Z_{n_t}, found by trying every permutation and every residue."""
+    r = len(lengths)
+    perms = [pi for pi in itertools.permutations(range(r))
+             if [lengths[i] for i in pi] == list(lengths)]
+    units = itertools.product(*([u for u in range(n) if math.gcd(u, n) == 1]
+                                for n in lengths))
+    return [functools.partial(_apply_automorphism, pi, u, lengths)
+            for pi, u in itertools.product(perms, units)]
+
+
+def _apply_automorphism(pi, u, lengths, idx):
+    return tuple(idx[i] * c % n for i, c, n in zip(pi, u, lengths))
+
+
+def monomial_key(S, lengths) -> tuple:
+    """Oracle: the least `translation_key` over the images of S under
+    every monomial automorphism."""
+    return min(translation_key([A(x) for x in S], lengths)
+               for A in monomial_automorphisms(lengths))
+
+
 def unique_rows(keys):
     """Oracle: (first, inverse) of the distinct rows of a (C, K) array, from
     np.unique, which sorts the rows as whole records."""
@@ -715,11 +741,9 @@ def unique_rows(keys):
     return first, inverse.reshape(-1)
 
 
-def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
-                                     seed=0):
-    """Oracle: the same candidates as `codes.search`, each one built and
-    measured by `construct`, ranked by d descending and then by the
-    lexicographically smallest defining set."""
+def _search_candidates(ring, K_target, budget, seed):
+    """(orbits, selections): the candidates `codes.search` ranks, as
+    tuples of orbit positions in the lexicographic order of S."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
     # n_t | q-1 makes every orbit a singleton, so the candidates are the
@@ -732,15 +756,41 @@ def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
             f"{q ** K_target} codewords exceed budget {budget}: "
             "candidates cannot be ranked")
     if total <= codes.EXHAUSTIVE_LIMIT:
-        selections = itertools.combinations(range(len(orbs)), K_target)
-    else:
-        rng = random.Random(seed)
-        selections = set()
-        while len(selections) < min(codes.SAMPLES, total):
-            selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
+        return orbs, list(itertools.combinations(range(len(orbs)), K_target))
+    rng = random.Random(seed)
+    selections = set()
+    while len(selections) < min(codes.SAMPLES, total):
+        selections.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
+    return orbs, sorted(selections)
+
+
+def construct_every_candidate_search(ring, K_target, budget=DEFAULT_BUDGET,
+                                     seed=0):
+    """Oracle: the same candidates as `codes.search`, each one built and
+    measured by `construct`, ranked by d descending and then by the
+    lexicographically smallest defining set."""
+    orbs, selections = _search_candidates(ring, K_target, budget, seed)
     records = []
     for sel in selections:
         seeds = [orbs[i].representative for i in sel]
         records.append(construct(ring, seeds, budget=budget))
     records.sort(key=lambda r: (-r.d, r.defining_set))
     return records
+
+
+def translation_class_search(ring, K_target, budget=DEFAULT_BUDGET, seed=0):
+    """Oracle: the same candidates as `codes.search`, grouped by
+    translation class alone: every candidate keyed by
+    `codes.translation_keys` and grouped by `codes.group_rows`, and every
+    class weighed by `codes.class_distances`.  Ranked by d descending and
+    then by the lexicographically smallest defining set, as SearchRows."""
+    orbs, selections = _search_candidates(ring, K_target, budget, seed)
+    reps = [o.representative for o in orbs]
+    sel = np.array(selections, dtype=np.int64).reshape(-1, K_target)
+    coords = np.array(reps, dtype=np.int64)
+    first, inverse = codes.group_rows(
+        codes.translation_keys(coords[sel], ring.lengths))
+    d = codes.class_distances(ring, coords[sel[first]])[inverse]
+    order = np.argsort(-d, kind="stable")
+    return [SearchRow(tuple(reps[i] for i in sel[c]), K_target, int(d[c]))
+            for c in order.tolist()]

@@ -396,6 +396,27 @@ def test_construct_reads_the_table_without_a_transform(field, lengths, seeds,
     assert "monomials" not in ring.__dict__
 
 
+@pytest.mark.parametrize("field,lengths,seeds",
+                         [((3,), (2, 2, 2), REFERENCE_SEEDS_K3)] + BIG_RING_CODES,
+                         ids=["2x2x2_3", "16x16x16_17", "8x8x8x8_9"])
+def test_construct_forms_each_table_once(field, lengths, seeds, monkeypatch):
+    # the idempotent table E and the characters; the distance pass reads E
+    calls = []
+    real = codes._character_rows
+
+    def counting(ring, sets, inverse):
+        calls.append(inverse)
+        return real(ring, sets, inverse)
+    monkeypatch.setattr(codes, "_character_rows", counting)
+    ring = Ring(Field(*field), lengths)
+    rec = construct(ring, seeds)
+    assert rec.d is not None
+    assert sorted(calls) == [False, True]
+    calls.clear()
+    assert orbit_distance(ring, rec.defining_set) == rec.d
+    assert calls == [True]
+
+
 def test_construct_on_a_big_ring_in_bounded_memory():
     # one window holds the ring and its construct; with e transformed
     # twice and copied once per basis row it peaked at 1.22 MB
@@ -459,10 +480,10 @@ def test_min_distance_level_over_the_table_limit_in_bounded_memory():
 
 
 def test_bound_violation_raises(ring3, monkeypatch):
-    monkeypatch.setattr(codes, "orbit_distance", lambda ring, S: ring.N)
+    monkeypatch.setattr(codes, "_orbit_distance", lambda ring, S, E: ring.N)
     with pytest.raises(BoundViolated, match="Singleton"):
         construct(ring3, REFERENCE_SEEDS_K3)
-    monkeypatch.setattr(codes, "orbit_distance", lambda ring, S: 0)
+    monkeypatch.setattr(codes, "_orbit_distance", lambda ring, S, E: 0)
     with pytest.raises(BoundViolated, match="product bound"):
         construct(ring3, ring3.monomials)
 
@@ -471,7 +492,7 @@ def test_bound_violation_raises_under_optimize():
     script = (
         "from multicyclic import Field, Ring, codes\n"
         "from multicyclic.errors import BoundViolated\n"
-        "codes.orbit_distance = lambda ring, S: ring.N\n"
+        "codes._orbit_distance = lambda ring, S, E: ring.N\n"
         "try:\n"
         "    codes.construct(Ring(Field(3), (2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])\n"
         "except BoundViolated:\n"

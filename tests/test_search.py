@@ -1,9 +1,11 @@
-"""`search` weighs one code per translation class in one batched pass:
-translations keep d, the class key groups exactly the translates, the
-lexsort grouping agrees with np.unique, the class pass gives
-`construct`'s d, and the ranked rows, read through the lazy sequence
-`search` returns, equal the per-candidate oracle in conftest on every
-small ring of the family."""
+"""`search` weighs one code per class of translations and monomial
+automorphisms in one batched pass: translations and automorphisms keep
+the weight distribution, the class keys group exactly the translates and
+the automorphic images, the lexsort grouping agrees with np.unique, the
+class pass gives `construct`'s d, and the ranked rows, read through the
+lazy sequence `search` returns, equal the per-candidate and the
+translation-class oracles in conftest on every small ring of the
+family."""
 
 import dataclasses
 import itertools
@@ -16,11 +18,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from multicyclic import Field, Ring, SearchRow, codes, construct, search
+from multicyclic import (
+    Field,
+    Ring,
+    SearchRow,
+    codes,
+    construct,
+    search,
+    weight_distribution,
+)
 from multicyclic.codes import (
     DEFAULT_BUDGET,
     class_distances,
     group_rows,
+    monomial_keys,
     translation_keys,
 )
 
@@ -28,6 +39,9 @@ from conftest import (
     construct_every_candidate_search,
     enumerate_rings,
     exhaustive_min_distance,
+    monomial_automorphisms,
+    monomial_key,
+    translation_class_search,
     translation_key,
     unique_rows,
 )
@@ -131,6 +145,76 @@ def test_translation_keys_memory_is_linear():
                        translation_key([tuple(x) for x in S], lengths)]
 
 
+def _images(ring, K, count, rng):
+    """count random K-subsets of the box, each followed by its image under
+    a random monomial automorphism and a random translation."""
+    maps = monomial_automorphisms(ring.lengths)
+    box = ring.monomials
+    out = []
+    for _ in range(count):
+        S = [box[i] for i in rng.choice(ring.N, size=K, replace=False)]
+        A = maps[rng.integers(len(maps))]
+        a = [int(rng.integers(n)) for n in ring.lengths]
+        out += [S, translate([A(x) for x in S], a, ring.lengths)]
+    return np.array(out, dtype=np.int64).reshape(len(out), K, ring.r)
+
+
+@pytest.mark.parametrize("lengths", [(2,), (6,), (8,), (6, 6), (6, 3), (4, 4, 2),
+                                     (8, 4, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_automorphisms_match_oracle(lengths):
+    count, elements = codes._automorphisms(lengths)
+    box = list(itertools.product(*(range(n) for n in lengths)))
+    got = [tuple(tuple(j[pi] * u % n for pi, u, n in zip(perm, units, lengths))
+                 for j in box) for perm, units in elements]
+    oracle = {tuple(A(j) for j in box) for A in monomial_automorphisms(lengths)}
+    assert count == len(got) == len(set(got)) == len(oracle)
+    assert set(got) == oracle
+    # each element permutes the box
+    assert all(len(set(images)) == len(box) for images in got)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 5))
+def test_monomial_keys_split_into_oracle_classes(ring, seed, count):
+    rng = np.random.default_rng(seed)
+    for K in sorted({1, min(3, ring.N), int(rng.integers(1, ring.N + 1))}):
+        cands = _images(ring, K, count, rng)
+        keys = monomial_keys(cands, ring.lengths).tolist()
+        # each candidate's image shares its key
+        assert keys[::2] == keys[1::2]
+        oracle = [monomial_key([tuple(x) for x in S], ring.lengths)
+                  for S in cands.tolist()]
+        pairs = set(zip(map(tuple, keys), oracle))
+        assert len(pairs) == len({k for k, _ in pairs}) == len(set(oracle))
+
+
+def test_monomial_keys_are_the_same_in_any_chunks(monkeypatch):
+    # 8 group elements on 6x6: one chunk by default, one element per chunk
+    # at CLASS_BLOCK = 1, three chunks (3, 3 and 2) at CLASS_BLOCK = 3 C K
+    ring = Ring(Field(7), (6, 6))
+    cands = _images(ring, 3, 20, np.random.default_rng(5))
+    whole = monomial_keys(cands, ring.lengths)
+    for block in (1, 3 * cands.shape[0] * cands.shape[1]):
+        monkeypatch.setattr(codes, "CLASS_BLOCK", block)
+        assert monomial_keys(cands, ring.lengths).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_automorphisms_keep_the_weight_distribution(ring, data):
+    # the invariance that lets `search` weigh one code per monomial class
+    q = ring.field.q
+    K_max = max(k for k in range(1, ring.N + 1) if q ** k <= CLASS_CODEWORDS)
+    S = data.draw(st.lists(st.sampled_from(ring.monomials), min_size=1,
+                           max_size=K_max, unique=True), label="S")
+    A = data.draw(st.sampled_from(monomial_automorphisms(ring.lengths)), label="A")
+    a = tuple(data.draw(st.integers(0, n - 1)) for n in ring.lengths)
+    moved = translate([A(x) for x in S], a, ring.lengths)
+    assert weight_distribution(ring, moved) == weight_distribution(ring, S)
+
+
 def _check_grouping(keys):
     first, inverse = group_rows(keys)
     oracle_first, oracle_inverse = unique_rows(keys)
@@ -191,6 +275,100 @@ def test_search_matches_every_candidate_oracle(ring, K):
     rows = search(ring, K)
     assert ranked(rows) == ranked(construct_every_candidate_search(ring, K))
     assert all(r.K == K for r in rows)
+
+
+@pytest.mark.parametrize("ring, K", _oracle_cases())
+def test_search_matches_translation_class_oracle(ring, K):
+    assert ranked(search(ring, K)) == ranked(translation_class_search(ring, K))
+
+
+@pytest.mark.parametrize("ring, K", _oracle_cases())
+def test_sampled_search_matches_translation_class_oracle(ring, K, monkeypatch):
+    total = math.comb(ring.N, K)
+    monkeypatch.setattr(codes, "EXHAUSTIVE_LIMIT", total - 1)
+    monkeypatch.setattr(codes, "SAMPLES", max(1, total // 2))
+    rows = search(ring, K, seed=K)
+    assert len(rows) == max(1, total // 2)
+    assert ranked(rows) == ranked(translation_class_search(ring, K, seed=K))
+
+
+# rings where the class pass over the translation classes overflows one
+# block, so that `search` also groups by monomial automorphisms
+@pytest.mark.parametrize("p, m, lengths, K", [
+    (7, 1, (6, 6), 3), (5, 1, (4, 4), 4), (3, 1, (2, 2, 2, 2), 6),
+    (3, 2, (8, 8), 2), (5, 1, (4, 2, 2), 4), (7, 1, (3, 3, 3), 3)])
+def test_monomial_classes_match_translation_class_oracle(p, m, lengths, K):
+    ring = Ring(Field(p, m), lengths)
+    assert ranked(search(ring, K)) == ranked(translation_class_search(ring, K))
+
+
+@pytest.mark.parametrize("p, lengths, K, seed, translation_classes, classes", [
+    (7, (6, 6), 3, 0, 201, 40), (5, (4, 4), 4, 0, 122, 33),
+    (5, (4, 4), 7, 0, 715, 122), (17, (16, 16), 3, 3, 6_533, 212)],
+    ids=["q7-6x6-K3", "q5-4x4-K4", "q5-4x4-K7", "q17-16x16-K3-sampled"])
+def test_search_weighs_one_row_per_monomial_class(p, lengths, K, seed,
+                                                 translation_classes, classes,
+                                                 monkeypatch):
+    ring = Ring(Field(p), lengths)
+    weighed = []
+
+    def counting_pass(ring, sets):
+        weighed.extend(sets.tolist())
+        return class_distances(ring, sets)
+
+    monkeypatch.setattr(codes, "class_distances", counting_pass)
+    rows = search(ring, K, seed=seed)
+    assert len(weighed) == classes
+    # one set per monomial class, and the translation classes they stand for
+    assert len({monomial_key([tuple(x) for x in S], lengths)
+                for S in weighed}) == classes
+    assert len({translation_key(r.defining_set, lengths)
+                for r in rows}) == translation_classes
+
+
+# past the block gate the group key runs only while keying a class, K
+# translates of K r entries per group element, costs less than weighing
+# it: on 2^8 / GF(3) the 40,320 axis permutations would cost far more
+# than the 255 translation classes take to weigh
+@pytest.mark.parametrize("lengths, K, keyed, classes", [
+    ((2,) * 8, 2, False, 255), ((2,) * 5, 5, False, 5_060),
+    ((2,) * 4, 5, False, 273), ((2,) * 4, 6, True, 50)],
+    ids=["2^8-K2", "2^5-K5-sampled", "2^4-K5", "2^4-K6"])
+def test_search_keys_the_group_only_when_it_is_cheaper(lengths, K, keyed,
+                                                       classes, monkeypatch):
+    ring = Ring(Field(3), lengths)
+    weighed, keys = [], []
+
+    def counting_pass(ring, sets):
+        weighed.extend(sets.tolist())
+        return class_distances(ring, sets)
+
+    def counting_keys(cands, lengths):
+        keys.append(len(cands))
+        return monomial_keys(cands, lengths)
+
+    monkeypatch.setattr(codes, "class_distances", counting_pass)
+    monkeypatch.setattr(codes, "monomial_keys", counting_keys)
+    rows = search(ring, K)
+    assert bool(keys) == keyed
+    assert len(weighed) == classes
+    translation_classes = {translation_key(r.defining_set, lengths)
+                           for r in rows}
+    assert len(translation_classes) == (keys[0] if keyed else classes)
+
+
+def test_automorphisms_are_counted_without_listing_them():
+    # 9! = 362,880 axis permutations of 2^9, about 47 MB as tuples
+    tracemalloc.start()
+    try:
+        count, elements = codes._automorphisms((2,) * 9)
+        first = next(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(9)
+    assert first == (tuple(range(9)), (1,) * 9)
+    assert peak < 2 ** 20
 
 
 def test_sampled_search_matches_oracle(ring3, monkeypatch):
@@ -259,6 +437,35 @@ def test_class_blocks_bound_memory(monkeypatch):
     assert peak < 16 * 2 ** 20
     assert [r.d for r in rows] == [
         construct(ring, r.defining_set).d for r in rows]
+
+
+def test_monomial_keys_bound_memory(monkeypatch):
+    # 16x16x16 / GF(17), K = 3: the group has 8^3 x 3! = 3,072 elements,
+    # and the images of the ~200 translation classes under all of them at
+    # once would take 3,072 x 200 x 3 x 3 int64, about 44 MB
+    ring = Ring(Field(17), (16, 16, 16))
+    monkeypatch.setattr(codes, "SAMPLES", 200)
+    keyed = []
+    real = codes.monomial_keys
+
+    def recording(cands, lengths):
+        keyed.append(cands.shape)
+        return real(cands, lengths)
+
+    monkeypatch.setattr(codes, "monomial_keys", recording)
+    tracemalloc.start()
+    try:
+        rows = search(ring, 3, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes._automorphisms(ring.lengths)[0] == 3072
+    assert len(keyed) == 1 and keyed[0][0] > 150
+    # the whole stack of images is over four times the bound
+    assert 3072 * keyed[0][0] * 3 * 3 * 8 > 4 * 8 * 2 ** 20
+    assert peak < 8 * 2 ** 20
+    assert len(rows) == 200
+    assert rows[0].d == construct(ring, rows[0].defining_set).d
 
 
 def test_search_rows_are_frozen(ring3):
