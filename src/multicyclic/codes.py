@@ -1,14 +1,14 @@
 """Multicyclic code construction: the generating idempotent (the sum of
-the rows of one K x N table of the primitive idempotents of the defining
-set S), shift-degree profile (k_t = |proj_t(S)|), polynomial basis and
-generator matrix (the monomial multiples of e at the pivot columns of
-the K x N character matrix of S, one field product with the table),
-exact minimum distance and the product bound, plus exhaustive/randomized
-search over orbit unions, which groups its candidates into classes of
-translations and monomial automorphisms, weighs one code per class in
-one batched pass over the primitive idempotents of each defining set,
-and returns a read-only sequence that forms each ranked row when it is
-read.
+the rows of one K x N table E of the primitive idempotents of the
+defining set S), shift-degree profile (k_t = |proj_t(S)|), polynomial
+basis and generator matrix (the monomial multiples of e at the pivot
+columns of E at the negated exponents, since E[k, -m] = w^(j_k.m) / N,
+one field product of those characters with E), exact minimum distance
+and the product bound, plus exhaustive/randomized search over orbit
+unions, which groups its candidates into classes of translations and
+monomial automorphisms, weighs one code per class in one batched pass
+over the primitive idempotents of each defining set, and returns a
+read-only sequence that forms each ranked row when it is read.
 
 The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the
@@ -94,45 +94,46 @@ def k_profile(e: Poly) -> tuple:
     return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
-def build_basis(ring: Ring, S, kp: tuple, chars, E):
-    """(G, kind): the generator matrix of the code of the defining set S,
-    whose rows are the monomial multiples of e that raise the rank, in
-    monomial order, and its basis kind.  chars and E are the K x N
-    `_character_rows` of S in C order, forward (w^(j.m)) and inverse (the
-    primitive idempotents e_j), and kp = (|proj_t(S)|)_t.
+def build_basis(ring: Ring, kp: tuple, E):
+    """(G, kind): the generator matrix of the code whose primitive
+    idempotents are the rows of the K x N table E (`_idempotent_rows`, in
+    C order), whose rows are the monomial multiples of e that raise the
+    rank, in monomial order, and its basis kind; kp = (|proj_t(S)|)_t.
 
-    X^m e = sum_{j in S} w^(j.m) e_j, so the basis exponents are the
-    `pivot_columns` of the character matrix, columns in monomial order,
-    and the rows are one field product of the pivot characters with E.
-    X^m e with some m_t >= k_t depends on multiples of lower degree, so
-    the pivots lie inside the box m_t < k_t; they are the whole box, in
-    the same order, exactly when prod(k_t) = K, i.e. when the defining
-    set is the product of its projections."""
-    K = len(S)
+    X^m e = sum_{j in S} w^(j.m) e_j, and E[k, -m] = w^(j_k.m) / N, so
+    the basis exponents are the `pivot_columns` of E at the negated
+    exponents, columns in monomial order (a nonzero scale keeps the
+    pivots), and the rows are one field product of the pivot characters
+    N E[:, -m] with E.  X^m e with some m_t >= k_t depends on multiples
+    of lower degree, so the pivots lie inside the box m_t < k_t; they are
+    the whole box, in the same order, exactly when prod(k_t) = K, i.e.
+    when the defining set is the product of its projections."""
+    K = len(E)
     # the box lies in the monomials of degree <= sum(k_t - 1), a prefix of
     # the order, and a column's pivot status depends only on earlier ones
     width = np.searchsorted(ring._degree, sum(kp) - ring.r, side="right")
-    pivots = pivot_columns(GfMatrix(ring.field, chars[:, ring._gather[:width]]))
+    exps = np.unravel_index(ring._gather[:width], ring.lengths)
+    neg = np.ravel_multi_index(np.negative(exps), ring.lengths, mode="wrap")
+    pivots = pivot_columns(GfMatrix(ring.field, E[:, neg]))
     if len(pivots) < K:
         raise RankDeficient(
             f"monomial multiples of e span rank {len(pivots)}, expected {K}")
-    rows = ring.field.dot(chars[:, ring._gather[pivots]].T, E)
-    G = GfMatrix(ring.field, rows[:, ring._gather])
+    chars = ring.field.mul(ring.N % ring.field.p, E[:, neg[pivots]])
+    # the product is freed once gathered, before G copies it
+    G = GfMatrix(ring.field, ring.field.dot(chars.T, E)[:, ring._gather])
     return G, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
 
 
-def _character_rows(ring: Ring, sets, inverse: bool) -> np.ndarray:
-    """rows[c, k, m] = prod_t table_t[j_t, m_t], j = sets[c, k], for
-    (C, K, r) index coordinates: the outer product of the per-axis table
-    rows, each axis appended as the last (fastest) one, so the N exponents
-    m come in C order.  The forward tables w_t^(j_t m_t) give the
-    character of j on the monomials X^m; the inverse tables
-    n_t^-1 w_t^(-j_t m_t) give the coefficients of the primitive
-    idempotent e_j, whose C order a weight ignores."""
+def _idempotent_rows(ring: Ring, sets) -> np.ndarray:
+    """rows[c, k, m] = prod_t n_t^-1 w_t^(-j_t m_t), j = sets[c, k], for
+    (C, K, r) index coordinates: the coefficients of the primitive
+    idempotent e_j, the outer product of the rows of the per-axis inverse
+    tables, each axis appended as the last (fastest) one, so the N
+    exponents m come in C order."""
     fld = ring.field
     rows = np.ones(sets.shape[:2] + (1,), dtype=np.int64)
-    for t, tables in enumerate(ring._axis_tables):
-        rows = fld.mul(rows[..., None], tables[inverse][sets[:, :, t], None, :])
+    for t, (_, table) in enumerate(ring._axis_tables):
+        rows = fld.mul(rows[..., None], table[sets[:, :, t], None, :])
         rows = rows.reshape(len(sets), sets.shape[1], -1)
     return rows
 
@@ -273,7 +274,7 @@ def _idempotent_table(ring: Ring, S) -> np.ndarray:
     """The K x N table of the primitive idempotents e_j, j in S, in the
     order of S."""
     sets = np.array(S, dtype=np.int64).reshape(1, len(S), ring.r)
-    return _character_rows(ring, sets, inverse=True)[0]
+    return _idempotent_rows(ring, sets)[0]
 
 
 def orbit_distance(ring: Ring, S) -> int:
@@ -334,11 +335,11 @@ def bound_applicable(S, lengths, kp) -> bool:
 
 def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     """Full pipeline: close the seeds under the Frobenius action into the
-    defining set S, form the K x N table E of the primitive idempotents
-    e_j, j in S, and the characters w^(j.m) of S once
-    (`_character_rows`), and read everything else off them: the
-    generating idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|
-    and the generator matrix (`build_basis`).  Then the exact distance
+    defining set S, form the one K x N table E of the primitive
+    idempotents e_j, j in S (`_idempotent_rows`), and read everything else
+    off it: the generating idempotent e = sum_j e_j, the k profile
+    k_t = |proj_t(S)|, and the generator matrix (`build_basis`, from the
+    characters w^(j.m) = N E[k, -m]).  Then the exact distance
     (`orbit_distance`, on the same table E) when q^K fits the budget."""
     S = closure(seeds, ring.lengths, ring.field.q)
     K = len(S)
@@ -348,13 +349,9 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
         return CodeRecord(ring=ring, defining_set=S, idempotent=ring.zero(),
                           n=n, K=0, generator=GfMatrix(fld, np.zeros((0, n))))
     E = _idempotent_table(ring, S)
-    sets = np.array(S, dtype=np.int64).reshape(1, K, ring.r)
-    chars = _character_rows(ring, sets, inverse=False)[0]
     e = Poly(ring, fld.dot(np.ones(K, dtype=np.int64), E).reshape(ring.lengths))
     kp = tuple(len(set(axis)) for axis in zip(*S))
-    G, kind = build_basis(ring, S, kp, chars, E)
-    # the distance pass reads only E: free the characters before it
-    del chars
+    G, kind = build_basis(ring, kp, E)
     if rank(G) != K:
         raise RankDeficient("generator matrix rank disagrees with |S|")
     pb = product_bound(ring.lengths, kp)
@@ -522,7 +519,7 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     (C, K, r) coordinates of C sets of K distinct indices.
 
     Every orbit is a singleton, so the code of S is spanned by the
-    primitive idempotents e_j, j in S (`_character_rows`).  Each of the
+    primitive idempotents e_j, j in S (`_idempotent_rows`).  Each of the
     (q^K - 1)/(q - 1) projective messages is multiplied into the rows of
     a block of classes at once, and d is the least number of nonzero
     entries.  A block holds at most CLASS_BLOCK codeword entries (one
@@ -539,7 +536,7 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     whole = _projective_messages(q, K, 0, P) if P * K <= CLASS_BLOCK else None
     best = np.empty(C, dtype=np.int64)
     for c in range(0, C, per_block):
-        rows = _character_rows(ring, sets[c:c + per_block], inverse=True)
+        rows = _idempotent_rows(ring, sets[c:c + per_block])
         weight = np.full(len(rows), N)
         for lo in range(0, P, step):
             msgs = (whole[lo:lo + step] if whole is not None

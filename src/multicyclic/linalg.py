@@ -3,8 +3,8 @@
 No fraction-free or floating-point paths: all entries live in the field
 and elimination uses field inversion directly.  `pivot_columns` is the
 one elimination: it gives the rank check of a generator matrix and, from
-the pivots of the K x N character matrix, the monomials whose multiples
-of e are the generator rows of `codes.build_basis`.
+the pivots of the K x N idempotent table at the negated exponents, the
+monomials X^m whose multiples X^m e are the rows of `codes.build_basis`.
 """
 
 from __future__ import annotations

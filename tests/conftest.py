@@ -670,12 +670,16 @@ def two_branch_build_basis(e, K, kp):
 def rolled_build_basis(e, S, kp: tuple):
     """Oracle: basis polynomials for <e>, e the idempotent of the defining
     set S, as shifted copies of e: one `Poly.translate` of e per pivot
-    column of the rref of the K x N character matrix, columns in monomial
-    order."""
+    column of the rref of the K x N character matrix w^(j.m), columns in
+    monomial order, formed as the product over axes of the forward axis
+    tables w_t^(j_t m_t)."""
     ring = e.ring
     K = len(S)
-    sets = np.array(sorted(S), dtype=np.int64).reshape(1, K, ring.r)
-    chars = codes._character_rows(ring, sets, inverse=False)[0]
+    chars = np.ones((K, 1), dtype=np.int64)
+    for t, (table, _) in enumerate(ring._axis_tables):
+        axis = table[[j[t] for j in sorted(S)]]
+        chars = ring.field.mul(chars[:, :, None], axis[:, None, :])
+        chars = chars.reshape(K, -1)
     _, rk, pivots = rref(GfMatrix(ring.field, chars[:, ring._gather]))
     if rk < K:
         raise RankDeficient(
@@ -692,13 +696,9 @@ def generator_matrix(basis, ring) -> GfMatrix:
 
 
 def table_build_basis(ring, S, kp: tuple):
-    """`codes.build_basis` on the character and idempotent tables of S,
-    formed as `construct` forms them."""
-    S = sorted(S)
-    sets = np.array(S, dtype=np.int64).reshape(1, len(S), ring.r)
-    chars = codes._character_rows(ring, sets, inverse=False)[0]
-    E = codes._character_rows(ring, sets, inverse=True)[0]
-    return codes.build_basis(ring, S, kp, chars, E)
+    """`codes.build_basis` on the idempotent table of S, formed as
+    `construct` forms it."""
+    return codes.build_basis(ring, kp, codes._idempotent_table(ring, sorted(S)))
 
 
 def translation_key(S, lengths) -> tuple:

@@ -400,21 +400,22 @@ def test_construct_reads_the_table_without_a_transform(field, lengths, seeds,
                          [((3,), (2, 2, 2), REFERENCE_SEEDS_K3)] + BIG_RING_CODES,
                          ids=["2x2x2_3", "16x16x16_17", "8x8x8x8_9"])
 def test_construct_forms_each_table_once(field, lengths, seeds, monkeypatch):
-    # the idempotent table E and the characters; the distance pass reads E
+    # one idempotent table E: the basis reads its characters off E at -m,
+    # and the distance pass reads E
     calls = []
-    real = codes._character_rows
+    real = codes._idempotent_rows
 
-    def counting(ring, sets, inverse):
-        calls.append(inverse)
-        return real(ring, sets, inverse)
-    monkeypatch.setattr(codes, "_character_rows", counting)
+    def counting(ring, sets):
+        calls.append(len(sets))
+        return real(ring, sets)
+    monkeypatch.setattr(codes, "_idempotent_rows", counting)
     ring = Ring(Field(*field), lengths)
     rec = construct(ring, seeds)
     assert rec.d is not None
-    assert sorted(calls) == [False, True]
+    assert calls == [1]
     calls.clear()
     assert orbit_distance(ring, rec.defining_set) == rec.d
-    assert calls == [True]
+    assert calls == [1]
 
 
 def test_construct_on_a_big_ring_in_bounded_memory():
@@ -429,6 +430,23 @@ def test_construct_on_a_big_ring_in_bounded_memory():
         tracemalloc.stop()
     assert rec.params() == "[4096, 2, 3584]_9"
     assert peak < 1.1e6
+
+
+def test_construct_holds_one_table_of_many_rows():
+    # K = 64 rows of N = 4,096: each K x N table is 2 MB of int64.  With a
+    # second table of characters beside the idempotents it peaked at
+    # 10.05 MB; the ring's axis tables are formed before the window
+    ring = Ring(Field(17), (16, 16, 16))
+    ring._axis_tables
+    seeds = list(itertools.islice(np.ndindex(ring.lengths), 64))
+    tracemalloc.start()
+    try:
+        rec = construct(ring, seeds, budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.K == 64 and rec.basis_kind == "box" and rec.d is None
+    assert peak < 8 * 2 ** 20
 
 
 def test_min_distance_weighs_by_comparison_in_bounded_memory():
