@@ -35,17 +35,15 @@ from .errors import (
     BudgetExceeded,
     Infeasible,
     RankDeficient,
+    RingTooLarge,
     ZeroIdempotent,
 )
 from .linalg import GfMatrix, pivot_columns, rank
 from .orbits import closure
-from .ring import Poly, Ring
+from .ring import TABLE_LIMIT, Poly, Ring
 from .spectral import fourier
 
 DEFAULT_BUDGET = 3_000_000
-# Field elements in one table: 8 MB of int64.  `verify` refuses a ring
-# whose N x N tables would exceed it.
-TABLE_LIMIT = 1 << 20
 # search ranks every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
 EXHAUSTIVE_LIMIT = 100_000
 SAMPLES = 10_000
@@ -129,7 +127,12 @@ def _idempotent_rows(ring: Ring, sets) -> np.ndarray:
     (C, K, r) index coordinates: the coefficients of the primitive
     idempotent e_j, the outer product of the rows of the per-axis inverse
     tables, each axis appended as the last (fastest) one, so the N
-    exponents m come in C order."""
+    exponents m come in C order.  Raises RingTooLarge, allocating
+    nothing, when one K x N table would exceed TABLE_LIMIT elements."""
+    K, N = sets.shape[1], ring.N
+    if K * N > TABLE_LIMIT:
+        raise RingTooLarge(f"K x N = {K} x {N} = {K * N} idempotent "
+                           f"coefficients exceeds the limit {TABLE_LIMIT}")
     fld = ring.field
     rows = np.ones(sets.shape[:2] + (1,), dtype=np.int64)
     for t, (_, table) in enumerate(ring._axis_tables):
@@ -273,17 +276,16 @@ def _orbit_blocks(ring: Ring, S, E):
 def _idempotent_table(ring: Ring, S) -> np.ndarray:
     """The K x N table of the primitive idempotents e_j, j in S, in the
     order of S."""
-    sets = np.array(S, dtype=np.int64).reshape(1, len(S), ring.r)
-    return _idempotent_rows(ring, sets)[0]
+    return _idempotent_rows(ring, np.array([S]))[0]
 
 
 def orbit_distance(ring: Ring, S) -> int:
-    """Exact minimum distance of the code of the defining set S, from one
-    codeword per orbit of the translations and scalars (see
-    `_orbit_blocks`): weight is constant on an orbit."""
-    if not len(S):
+    """Exact minimum distance of the code of closure(S), as `construct`
+    takes it, from one codeword per orbit of the translations and scalars
+    (see `_orbit_blocks`): weight is constant on an orbit."""
+    S = closure(S, ring.lengths, ring.field.q)
+    if not S:
         raise ZeroIdempotent("zero code has no nonzero codewords")
-    S = sorted(S)
     return _orbit_distance(ring, S, _idempotent_table(ring, S))
 
 
@@ -293,13 +295,13 @@ def _orbit_distance(ring: Ring, S, E) -> int:
 
 
 def weight_distribution(ring: Ring, S) -> list:
-    """A[w], the number of codewords of weight w in the code of S, for
-    w = 0..N: each orbit representative of weight w counts its orbit."""
+    """A[w], the number of codewords of weight w in the code of closure(S),
+    for w = 0..N: each orbit representative of weight w counts its orbit."""
     N = ring.N
     A = [1] + [0] * N
-    if not len(S):
+    S = closure(S, ring.lengths, ring.field.q)
+    if not S:
         return A
-    S = sorted(S)
     for weights, support, sizes in _orbit_blocks(ring, S, _idempotent_table(ring, S)):
         counts = np.bincount(support * (N + 1) + weights)
         for i in np.flatnonzero(counts).tolist():

@@ -26,7 +26,7 @@ class OrderNotDividing(MulticyclicError):
 
 
 class RingTooLarge(MulticyclicError):
-    """The ring has more than MAX_N coefficients."""
+    """Over MAX_N coefficients, or a table over TABLE_LIMIT elements."""
 
 
 class CtxMismatch(MulticyclicError):

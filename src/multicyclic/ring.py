@@ -31,8 +31,9 @@ _VAR_NAMES_SHORT = ("x", "y", "z")
 # Largest number of coefficients N = prod(n_t); the monomial list, once
 # read, is O(N) Python tuples.
 MAX_N = 1 << 16
-# Longest axis: its n_t x n_t transform tables hold <= 2^20 entries (8 MB).
-MAX_AXIS = 1 << 10
+# Field elements in one table, 8 MB of int64: the n_t x n_t axis tables
+# and each K x N table of `codes._idempotent_rows` hold at most this many.
+TABLE_LIMIT = 1 << 20
 
 
 class Ring:
@@ -49,9 +50,9 @@ class Ring:
         N = math.prod(lengths)
         if N > MAX_N:
             raise RingTooLarge(f"N = {N} coefficients exceeds the limit {MAX_N}")
-        if max(lengths) > MAX_AXIS:
-            raise RingTooLarge(
-                f"axis length {max(lengths)} exceeds the limit {MAX_AXIS}")
+        if max(lengths) ** 2 > TABLE_LIMIT:
+            raise RingTooLarge(f"axis length {max(lengths)} exceeds the limit "
+                               f"{math.isqrt(TABLE_LIMIT)}")
         self.field = field
         self.lengths = lengths
         self.r = len(lengths)

@@ -8,12 +8,11 @@ import random
 
 import numpy as np
 
-from .codes import TABLE_LIMIT, construct
-from .errors import RingTooLarge
+from .codes import _idempotent_rows, construct
 from .gf import Field
 from .orbits import closure, combinatorial_form
-from .ring import Ring
-from .spectral import fourier, fourier_inverse, idempotent_from_set, primitive_idempotent
+from .ring import Poly, Ring
+from .spectral import fourier, fourier_inverse, idempotent_from_set
 
 TRIALS = 100
 
@@ -29,17 +28,14 @@ def _first_failure(name, failures):
 def property_suite(ring: Ring, seed: int = 0):
     """Run the algebraic invariant suite; returns [(name, ok, detail)].
 
-    All N primitive idempotents and their spectra are held at once, each
-    N^2 coefficients, so a ring with N^2 over `codes.TABLE_LIMIT` raises
-    `RingTooLarge`."""
-    if ring.N ** 2 > TABLE_LIMIT:
-        raise RingTooLarge(
-            f"verify holds all N = {ring.N} primitive idempotents: N^2 = "
-            f"{ring.N ** 2} coefficients exceeds the limit {TABLE_LIMIT}")
+    All N primitive idempotents are one N x N table from the builder that
+    `construct` uses (`codes._idempotent_rows`), so a ring with N^2 over
+    `ring.TABLE_LIMIT` raises `RingTooLarge` before any table is built."""
     fld = ring.field
     rng = random.Random(seed)
-    idems = {i: primitive_idempotent(ring, i) for i in ring.monomials}
-    keys = list(idems)
+    keys = ring.monomials
+    E = _idempotent_rows(ring, np.array([keys]))[0]
+    idems = {i: Poly(ring, e.reshape(ring.lengths)) for i, e in zip(keys, E)}
     total = sum(idems.values(), ring.zero())
     spectra = {i: fourier(e) for i, e in idems.items()}
     # e_a e_b is the inverse transform of the pointwise product of the two

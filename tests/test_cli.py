@@ -126,6 +126,16 @@ def test_out_of_range_field_and_ring_exit_2(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_construct_past_the_table_limit_exits_2(capsys):
+    # [65536, 17]_257: a 17 x 65,536 idempotent table is over TABLE_LIMIT
+    seeds = ";".join(f"(0,{i})" for i in range(17))
+    code, out, err = run(capsys, "construct", "--p", "257", "--lengths",
+                         "256,256", "--seeds", seeds, "--budget", "0")
+    assert code == 2 and out == ""
+    assert ("17 x 65536 = 1114112 idempotent coefficients exceeds the limit "
+            "1048576") in err
+
+
 def test_search_negative_top_rejected(capsys):
     code, out, err = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
                          "--K", "3", "--top", "-54")
@@ -221,12 +231,13 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 def test_verify_property_failure_exits_6(capsys, monkeypatch):
-    real = verify.primitive_idempotent
+    real = verify._idempotent_rows
 
-    def doubled_at_1(ring, index):
-        e = real(ring, index)
-        return e + e if index == (1,) else e
-    monkeypatch.setattr(verify, "primitive_idempotent", doubled_at_1)
+    def doubled_at_1(ring, sets):
+        E = real(ring, sets)
+        E[0, 1] = ring.field.add(E[0, 1], E[0, 1])
+        return E
+    monkeypatch.setattr(verify, "_idempotent_rows", doubled_at_1)
     code, out, _ = run(capsys, "verify", "--p", "5", "--lengths", "4")
     assert code == 6
     # over GF(5), e_1 = 4 + 2x + x^2 + 3x^3, so the sum is 1 + e_1

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,7 +37,9 @@ from multicyclic.codes import (
 from multicyclic.errors import (
     BoundViolated,
     BudgetExceeded,
+    IndexOutOfRange,
     Infeasible,
+    RingTooLarge,
     ZeroIdempotent,
 )
 
@@ -346,6 +349,34 @@ def test_orbit_route_on_the_zero_code(ring3):
     assert weight_distribution(ring3, []) == [1] + [0] * 8
 
 
+# defining sets of 4x4 / GF(5), with d and the weight distribution
+# (A_0, then A_w for each w with A_w > 0)
+ORBIT_ROUTE_PINS = [
+    ([(0, 0)], 16, {16: 4}),
+    ([(1, 1), (0, 0)], 12, {12: 16, 16: 8}),
+    ([(0, 0), (0, 1), (1, 0), (3, 3)], 10, {10: 64, 12: 160, 13: 320, 16: 80}),
+    ([(2, 3), (0, 0), (1, 2)], 12, {12: 48, 13: 64, 16: 12}),
+]
+
+
+@pytest.mark.parametrize("S,d,A", ORBIT_ROUTE_PINS)
+def test_orbit_route_reads_the_closure_of_S(f5, S, d, A):
+    # a repeated member is one index of the defining set, as in construct
+    ring = Ring(f5, (4, 4))
+    weights = [1] + [A.get(w, 0) for w in range(1, 17)]
+    for T in (S, S + S[:1], S[::-1] + S):
+        assert orbit_distance(ring, T) == d
+        assert weight_distribution(ring, T) == weights
+
+
+@pytest.mark.parametrize("index", [(-1, 0), (4, 0), (0, 4), (0,)])
+def test_orbit_route_refuses_an_index_outside_the_box(f5, index):
+    ring = Ring(f5, (4, 4))
+    for route in (orbit_distance, weight_distribution):
+        with pytest.raises(IndexOutOfRange):
+            route(ring, [(0, 0), index])
+
+
 def test_orbit_route_refuses_a_box_past_64_bit_indices():
     # six indices of one axis over GF(65521): the translations move the
     # logs by multiples of 65520/16 only, so the box holds about
@@ -447,6 +478,33 @@ def test_construct_holds_one_table_of_many_rows():
         tracemalloc.stop()
     assert rec.K == 64 and rec.basis_kind == "box" and rec.d is None
     assert peak < 8 * 2 ** 20
+
+
+# 256x256 / GF(257): the first 16 seeds fill the table limit exactly,
+# K x N = 16 x 65,536, and all 17 exceed it
+BIG_TABLE_SEEDS = [(0, i) for i in range(17)]
+
+
+def test_construct_refuses_a_table_past_the_limit():
+    # 17 x 65,536 coefficients: refused before the table, or the ring's
+    # axis tables, are formed
+    ring = Ring(Field(257), (256, 256))
+    assert 16 * ring.N == codes.TABLE_LIMIT
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(RingTooLarge, match="17 x 65536 = 1114112 .* 1048576"):
+            construct(ring, BIG_TABLE_SEEDS, budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2 ** 20
+    for route in (orbit_distance, weight_distribution):
+        with pytest.raises(RingTooLarge, match="17 x 65536"):
+            route(ring, BIG_TABLE_SEEDS)
+    rec = construct(ring, BIG_TABLE_SEEDS[:16], budget=0)
+    assert rec.params() == "[65536, 16, ?]_257"
 
 
 def test_min_distance_weighs_by_comparison_in_bounded_memory():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -14,7 +15,7 @@ from multicyclic.errors import (
     OrderNotDividing,
     RingTooLarge,
 )
-from multicyclic.ring import MAX_AXIS, MAX_N, Poly
+from multicyclic.ring import MAX_N, TABLE_LIMIT, Poly
 
 from conftest import (
     enumerate_rings,
@@ -62,17 +63,18 @@ def test_ring_size_cap(f3, r):
 
 def test_ring_axis_cap():
     # a 65520 x 65520 axis table would need 32 GiB; the check comes before
-    # any table is built
+    # any table is built, and the longest axis fills TABLE_LIMIT
     start = time.perf_counter()
     with pytest.raises(RingTooLarge) as err:
         Ring(Field(65521), (65520,))
-    assert "65520" in str(err.value) and str(MAX_AXIS) in str(err.value)
+    assert "axis length 65520 exceeds the limit 1024" in str(err.value)
+    assert str(math.isqrt(TABLE_LIMIT)) in str(err.value)
     assert time.perf_counter() - start < 1.0
 
 
 def test_ring_longest_axis_constructs():
     from multicyclic import construct
-    ring = Ring(Field(12289), (MAX_AXIS,))
+    ring = Ring(Field(12289), (math.isqrt(TABLE_LIMIT),))
     assert construct(ring, [(0,), (1,)]).params() == "[1024, 2, ?]_12289"
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from multicyclic import Field, Ring, verify
@@ -8,14 +10,20 @@ from multicyclic.verify import property_suite
 
 
 class Sentinel(Exception):
-    """Raised by a patched idempotent builder: the suite got past its guard."""
+    """Raised after the real idempotent table is built: the suite got past
+    the table's size check."""
 
 
 @pytest.fixture
 def no_idempotents(monkeypatch):
-    def sentinel(ring, index):
+    real = verify._idempotent_rows
+    built = []
+
+    def sentinel(ring, sets):
+        built.append(real(ring, sets).shape)
         raise Sentinel
-    monkeypatch.setattr(verify, "primitive_idempotent", sentinel)
+    monkeypatch.setattr(verify, "_idempotent_rows", sentinel)
+    return built
 
 
 def test_property_suite_refuses_rings_past_table_limit(no_idempotents):
@@ -23,8 +31,17 @@ def test_property_suite_refuses_rings_past_table_limit(no_idempotents):
     assert 1024 ** 2 == TABLE_LIMIT
     with pytest.raises(Sentinel):
         property_suite(Ring(Field(97), (32, 32)))
-    with pytest.raises(RingTooLarge, match="N = 1536"):
-        property_suite(Ring(Field(97), (32, 48)))
+    assert no_idempotents == [(1, 1024, 1024)]
+    ring = Ring(Field(97), (32, 48))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RingTooLarge, match="1536 x 1536 = 2359296"):
+            property_suite(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert no_idempotents == [(1, 1024, 1024)]
+    assert peak < 2 ** 20
 
 
 def test_verify_cli_exits_2_before_building_idempotents(capsys, no_idempotents):
@@ -32,8 +49,9 @@ def test_verify_cli_exits_2_before_building_idempotents(capsys, no_idempotents):
     assert main(["verify", "--p", "257", "--lengths", "256,256"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "N^2 = 4294967296 coefficients exceeds the limit 1048576" in out.err
-
+    assert ("K x N = 65536 x 65536 = 4294967296 idempotent coefficients "
+            "exceeds the limit 1048576") in out.err
+    assert no_idempotents == []
 
 
 def test_orthogonality_reports_the_first_failing_pair(monkeypatch):
@@ -41,13 +59,14 @@ def test_orthogonality_reports_the_first_failing_pair(monkeypatch):
     # (2, 4), (2, 6) and (4, 6) fail, and (2, 4) comes first
     ring = Ring(Field(3), (2, 2, 2))
     m = ring.monomials
-    build = verify.primitive_idempotent
+    build = verify._idempotent_rows
 
-    def overlapping(ring, index):
-        e = build(ring, index)
-        return e + build(ring, m[6]) if index in (m[2], m[4]) else e
+    def overlapping(ring, sets):
+        E = build(ring, sets)
+        E[0, [2, 4]] = ring.field.add(E[0, [2, 4]], E[0, 6])
+        return E
 
-    monkeypatch.setattr(verify, "primitive_idempotent", overlapping)
+    monkeypatch.setattr(verify, "_idempotent_rows", overlapping)
     results = {name: (ok, detail) for name, ok, detail in property_suite(ring)}
     assert results["idempotence"] == (True, "")
     assert results["orthogonality"] == (False, f"e_{m[2]} * e_{m[4]} != 0")
