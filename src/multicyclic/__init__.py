@@ -5,7 +5,6 @@ from .codes import (
     CodeRecord,
     SearchRow,
     construct,
-    k_profile,
     orbit_distance,
     product_bound,
     search,
@@ -35,7 +34,7 @@ __all__ = [
     "CodeRecord", "Field", "GfMatrix", "Orbit", "Poly",
     "Ring", "SearchRow", "Spectrum", "all_orbits", "closure", "combinatorial_form",
     "construct", "fourier", "fourier_inverse", "frobenius",
-    "idempotent_from_set", "k_profile", "orbit_distance", "orbit_of",
+    "idempotent_from_set", "orbit_distance", "orbit_of",
     "primitive_idempotent", "product_bound", "rank", "search",
     "theta", "weight_distribution",
 ]

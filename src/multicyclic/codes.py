@@ -41,7 +41,6 @@ from .errors import (
 from .linalg import GfMatrix, pivot_columns, rank
 from .orbits import closure
 from .ring import TABLE_LIMIT, Poly, Ring
-from .spectral import fourier
 
 DEFAULT_BUDGET = 3_000_000
 # search ranks every candidate up to EXHAUSTIVE_LIMIT, else SAMPLES.
@@ -76,20 +75,6 @@ class CodeRecord:
     def params(self) -> str:
         d = self.d if self.d is not None else "?"
         return f"[{self.n}, {self.K}, {d}]_{self.ring.field.q}"
-
-
-def k_profile(e: Poly) -> tuple:
-    """Per-axis minimal k with X_t^k e dependent on lower shifts of e.
-
-    X_t multiplies the spectrum of e at j by w_t^(j_t), so the shifts of e
-    along axis t form a Vandermonde system with one node per distinct t-th
-    coordinate of the spectral support: k_t is the number of those
-    coordinates.  For a generating idempotent the support is the defining
-    set S, so k_t = |proj_t(S)|."""
-    if e.is_zero():
-        raise ZeroIdempotent("k profile of the zero element is undefined")
-    support = fourier(e).support()
-    return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
 def build_basis(ring: Ring, kp: tuple, E):
@@ -224,16 +209,17 @@ def _orbit_blocks(ring: Ring, S, E):
     The supports come in chunks of CLASS_BLOCK // K, and their
     representatives are decoded per block from a running index.  The
     codeword of logs x is sum_j g^(x_j) e_j, formed in the log domain:
-    exp[x_j + log e_j(m)] from a doubled exp table needs no modulo, and
-    an absent coordinate reads x_j = 2(q-1), past which the table holds
-    zeros.  In characteristic 2 the terms are XORed; otherwise their
+    exp[x_j + log e_j(m)] from the field's doubled exp table needs no
+    modulo, and an absent coordinate reads x_j = log 0 = 2(q-1), past
+    which the table holds zeros; the first 3(q-1) entries hold every
+    index.  In characteristic 2 the terms are XORed; otherwise their
     base-p digits are summed and a coordinate is zero when every digit
     sum is 0 mod p."""
     fld = ring.field
     p, M, N = fld.p, fld.q - 1, ring.N
     K = len(S)
     logs = fld._log[E]
-    table = np.concatenate([fld._exp, fld._exp, np.zeros(M, dtype=np.int64)])
+    table = fld._exp[:3 * M]
     if p > 2:
         table = table // p ** np.arange(fld.m)[:, None] % p
     rows_per_block = max(1, CLASS_BLOCK // N)
@@ -246,10 +232,10 @@ def _orbit_blocks(ring: Ring, S, E):
                 f"{total} orbit representatives overflow a 64-bit index")
         sizes = [M ** len(U) // c for (U, _), c in zip(chunk, counts)]
         # per support and coordinate: radix, stride (the last coordinate
-        # fastest) and the offset 2(q-1) of an absent coordinate
+        # fastest) and the offset log 0 of an absent coordinate
         radix = []
         for (U, h), stride in zip(chunk, counts):
-            box = [1] * (2 * K) + [2 * M] * K
+            box = [1] * (2 * K) + [int(fld._log[0])] * K
             for i, hi in zip(U, h):
                 stride //= hi
                 box[i], box[K + i], box[2 * K + i] = hi, stride, 0

@@ -53,10 +53,6 @@ class NotOrbitConstant(MulticyclicError):
     """Spectrum is not constant on a Frobenius orbit."""
 
 
-class DimensionMismatch(MulticyclicError):
-    pass
-
-
 class ZeroIdempotent(MulticyclicError):
     pass
 

@@ -1,9 +1,10 @@
 """Exact arithmetic in GF(p^m).
 
 Elements are canonical integers in [0, q): the base-p encoding of the
-polynomial representation.  Every field builds log/antilog tables once;
-inverses, powers and element orders read them, extension fields multiply
-through them, and `dot` reduces by the digits of x^t they hold.  `add`,
+polynomial representation.  Every field builds log/antilog tables once,
+zero's log 2(q-1) reading the zeros past the doubled antilogs, so `mul`
+is one table read in every field; inverses, powers and element orders
+read them too, and `dot` reduces by the digits of x^t they hold.  `add`,
 `sub` and `neg` are one digit-wise pass: XOR in characteristic 2, mod p
 in a prime field, base-p digit by digit otherwise.  Public operations
 take plain ints or numpy integer arrays, give an int for scalars, and
@@ -179,7 +180,10 @@ class Field:
         # q - 1 entries that reach every nonzero element: a permutation
         if not np.array_equal(exp[log[1:]], np.arange(1, q)):
             raise NotPrime("generator order mismatch")  # unreachable
-        self._exp = exp
+        # zero's log is 2(q - 1): two nonzero logs sum below it and read
+        # the doubled exp, and any sum with log 0 reads the zeros
+        log[0] = 2 * (q - 1)
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * q - 1, dtype=np.int64)])
         self._log = log
 
     # -- arithmetic --------------------------------------------------------
@@ -217,19 +221,13 @@ class Field:
         return self._digitwise(np.subtract, 0, a)
 
     def mul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if self.m == 1:
-            return self._ret((a * b) % self.p)
-        out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-        out = np.where((a == 0) | (b == 0), 0, out)
-        return self._ret(out)
+        return self._ret(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a):
         a = np.asarray(a)
         if (a == 0).any():
             raise DivisionByZero("inverse of zero")
-        return self._ret(self._exp[-self._log[a] % (self.q - 1)])
+        return self._ret(self._exp[self.q - 1 - self._log[a]])
 
     def pow(self, a, e: int):
         a = int(a)

@@ -14,9 +14,9 @@ from multicyclic.gf import _poly_mulmod
 from multicyclic.errors import (
     ArityMismatch,
     BudgetExceeded,
-    DimensionMismatch,
     DivisionByZero,
     Infeasible,
+    MulticyclicError,
     RankDeficient,
     ZeroIdempotent,
 )
@@ -526,6 +526,10 @@ def rref(M: GfMatrix):
     return GfMatrix(fld, A), len(pivots), pivots
 
 
+class DimensionMismatch(MulticyclicError):
+    """A vector whose length is not the width of the matrix it meets."""
+
+
 class RowReducer:
     """Oracle: incremental rank builder keeping rows in reduced echelon
     state."""
@@ -593,6 +597,21 @@ def evaluate(f, point) -> int:
             acc = fld.add(fld.mul(acc, x), arr[..., k])
         arr = acc
     return int(arr)
+
+
+def k_profile(e: Poly) -> tuple:
+    """Spectral oracle: per-axis minimal k with X_t^k e dependent on lower
+    shifts of e.
+
+    X_t multiplies the spectrum of e at j by w_t^(j_t), so the shifts of e
+    along axis t form a Vandermonde system with one node per distinct t-th
+    coordinate of the spectral support: k_t is the number of those
+    coordinates.  For a generating idempotent the support is the defining
+    set S, so k_t = |proj_t(S)|."""
+    if e.is_zero():
+        raise ZeroIdempotent("k profile of the zero element is undefined")
+    support = fourier(e).support()
+    return tuple(len({j[t] for j in support}) for t in range(e.ring.r))
 
 
 def rank_scan_k_profile(e):

@@ -19,7 +19,6 @@ from multicyclic import (
     construct,
     fourier,
     idempotent_from_set,
-    k_profile,
     orbit_distance,
     rank,
     search,
@@ -49,6 +48,7 @@ from conftest import (
     exhaustive_min_distance,
     exhaustive_weight_distribution,
     in_span,
+    k_profile,
     macwilliams_transform,
     min_distance,
     one_hot,

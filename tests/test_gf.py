@@ -186,8 +186,50 @@ def test_log_antilog_tables(field):
 def test_doubled_tables_match_loop_oracle(p, m):
     field = Field(p, m)
     exp, log = loop_field_tables(field)
-    assert np.array_equal(field._exp, exp)
-    assert np.array_equal(field._log, log)
+    q = field.q
+    # [exp, exp, 2q - 1 zeros]: 4(q - 1) + 1 entries
+    assert len(field._exp) == 4 * (q - 1) + 1
+    assert np.array_equal(field._exp[:q - 1], exp)
+    assert np.array_equal(field._exp[q - 1:2 * (q - 1)], exp)
+    assert not field._exp[2 * (q - 1):].any()
+    assert len(field._exp[2 * (q - 1):]) == 2 * q - 1
+    assert np.array_equal(field._log[1:], log[1:])
+    assert field._log[0] == 2 * (q - 1)
+
+
+@pytest.mark.parametrize("p, m", [(2, 16), (3, 10), (257, 1), (65521, 1)],
+                         ids=lambda v: str(v))
+def test_mul_and_inv_reach_both_ends_of_the_table(p, m):
+    field = Field(p, m)
+    q, g = field.q, field.generator
+    top = field.pow(g, q - 2)  # the largest log, q - 2
+    assert field._log[top] == q - 2
+    vals = np.array([0, 1, top, g])
+    a, b = np.meshgrid(vals, vals)
+    got = field.mul(a, b)
+    assert got.tolist() == [[brute_field_mul(field, int(x), int(y))
+                             for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    # log 0 + log 0 = 4(q - 1) is the last entry of the table
+    assert field._log[0] + field._log[0] == len(field._exp) - 1
+    assert field.mul(0, 0) == 0
+    assert field.mul(top, top) == brute_field_mul(field, top, top)
+    nonzero = np.array([1, top, g])
+    inv = field.inv(nonzero)
+    # Fermat: a^(q - 2) is the inverse of a nonzero a
+    fermat = []
+    for x in nonzero.tolist():
+        acc, base, e = 1, x, q - 2
+        while e:
+            if e & 1:
+                acc = brute_field_mul(field, acc, base)
+            base = brute_field_mul(field, base, base)
+            e >>= 1
+        fermat.append(acc)
+    assert inv.tolist() == fermat
+    assert [brute_field_mul(field, int(x), int(y))
+            for x, y in zip(nonzero, inv)] == [1, 1, 1]
+    with pytest.raises(DivisionByZero):
+        field.inv(np.array([1, 0, top]))
 
 
 def test_tables_reject_generator_of_lower_order():

@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 import multicyclic
 from multicyclic import Field, GfMatrix, rank
-from multicyclic.errors import DimensionMismatch
 from multicyclic.linalg import pivot_columns
-from conftest import RowReducer, in_span, rref
+from conftest import DimensionMismatch, RowReducer, in_span, rref
 
 REFERENCE_G = [
     [0, 2, 2, 0, 1, 2, 2, 1],
@@ -163,3 +162,12 @@ def test_public_api_resolves_without_rref():
     assert "rref" not in multicyclic.__all__
     assert not hasattr(multicyclic, "rref")
     assert not hasattr(multicyclic.linalg, "rref")
+
+
+def test_oracle_only_names_left_the_library():
+    # the spectral k profile and DimensionMismatch live in conftest
+    assert "k_profile" not in multicyclic.__all__
+    assert not hasattr(multicyclic, "k_profile")
+    assert not hasattr(multicyclic.codes, "k_profile")
+    assert not hasattr(multicyclic.codes, "fourier")
+    assert not hasattr(multicyclic.errors, "DimensionMismatch")

@@ -17,7 +17,6 @@ from multicyclic import (
     construct,
     fourier_inverse,
     idempotent_from_set,
-    k_profile,
     rank,
 )
 from multicyclic.codes import BASIS_BOX
@@ -26,6 +25,7 @@ from multicyclic.spectral import Spectrum
 from conftest import (
     enumerate_rings,
     generator_matrix,
+    k_profile,
     rank_scan_k_profile,
     rolled_build_basis,
     scan_build_basis,
