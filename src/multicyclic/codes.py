@@ -4,7 +4,9 @@ defining set S), shift-degree profile (k_t = |proj_t(S)|), polynomial
 basis and generator matrix (the monomial multiples of e at the pivot
 columns of E at the negated exponents, since E[k, -m] = w^(j_k.m) / N,
 one field product of those characters with E), exact minimum distance
-and the product bound, plus exhaustive/randomized search over orbit
+and the product bound, built for a stack of defining sets of one size
+in one pass (`construct` builds the stack of one), plus
+exhaustive/randomized search over orbit
 unions, which groups its candidates into classes of translations and
 monomial automorphisms, weighs one code per class in one batched pass
 over the primitive idempotents of each defining set, and returns a
@@ -14,8 +16,9 @@ The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the
 primitive idempotents {e_j : j in S}: per message support, the orbits
 are the cosets of a lattice of discrete logs, and the box under the
-diagonal of its Hermite normal form is a transversal.  The orbit sizes
-give the weight distribution too.
+diagonal of its Hermite normal form is a transversal.  One pass weighs
+the orbits of every set of a stack.  The orbit sizes give the weight
+distribution too.
 """
 
 from __future__ import annotations
@@ -77,34 +80,42 @@ class CodeRecord:
         return f"[{self.n}, {self.K}, {d}]_{self.ring.field.q}"
 
 
-def build_basis(ring: Ring, kp: tuple, E):
-    """(G, kind): the generator matrix of the code whose primitive
-    idempotents are the rows of the K x N table E (`_idempotent_rows`, in
-    C order), whose rows are the monomial multiples of e that raise the
-    rank, in monomial order, and its basis kind; kp = (|proj_t(S)|)_t.
+def build_basis(ring: Ring, kps, E) -> list:
+    """(G, kind) for each code of the (C, K, N) stack E of idempotent
+    tables (`_idempotent_rows`, each in C order): the generator matrix
+    whose rows are the monomial multiples of e that raise the rank, in
+    monomial order, and its basis kind; kps[c] = (|proj_t(S)|)_t of the
+    set of E[c].
 
-    X^m e = sum_{j in S} w^(j.m) e_j, and E[k, -m] = w^(j_k.m) / N, so
-    the basis exponents are the `pivot_columns` of E at the negated
+    X^m e = sum_{j in S} w^(j.m) e_j, and E[c, k, -m] = w^(j_k.m) / N, so
+    the basis exponents are the `pivot_columns` of E[c] at the negated
     exponents, columns in monomial order (a nonzero scale keeps the
-    pivots), and the rows are one field product of the pivot characters
-    N E[:, -m] with E.  X^m e with some m_t >= k_t depends on multiples
-    of lower degree, so the pivots lie inside the box m_t < k_t; they are
-    the whole box, in the same order, exactly when prod(k_t) = K, i.e.
-    when the defining set is the product of its projections."""
-    K = len(E)
-    # the box lies in the monomials of degree <= sum(k_t - 1), a prefix of
+    pivots), each set eliminated on its own, and the rows of every code
+    are one batched field product of the pivot characters N E[c, :, -m]
+    with E.  X^m e with some m_t >= k_t depends on multiples of lower
+    degree, so the pivots lie inside the box m_t < k_t; they are the
+    whole box, in the same order, exactly when prod(k_t) = K, i.e. when
+    the defining set is the product of its projections."""
+    fld = ring.field
+    C, K, _ = E.shape
+    # each box lies in the monomials of degree <= sum(k_t - 1), a prefix of
     # the order, and a column's pivot status depends only on earlier ones
-    width = np.searchsorted(ring._degree, sum(kp) - ring.r, side="right")
-    exps = np.unravel_index(ring._gather[:width], ring.lengths)
+    widths = np.searchsorted(ring._degree, [sum(kp) - ring.r for kp in kps],
+                             side="right").tolist()
+    exps = np.unravel_index(ring._gather[:max(widths)], ring.lengths)
     neg = np.ravel_multi_index(np.negative(exps), ring.lengths, mode="wrap")
-    pivots = pivot_columns(GfMatrix(ring.field, E[:, neg]))
-    if len(pivots) < K:
-        raise RankDeficient(
-            f"monomial multiples of e span rank {len(pivots)}, expected {K}")
-    chars = ring.field.mul(ring.N % ring.field.p, E[:, neg[pivots]])
-    # the product is freed once gathered, before G copies it
-    G = GfMatrix(ring.field, ring.field.dot(chars.T, E)[:, ring._gather])
-    return G, BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY
+    chars = np.empty((C, K, K), dtype=np.int64)
+    for c, width in enumerate(widths):
+        pivots = pivot_columns(GfMatrix(fld, E[c][:, neg[:width]]))
+        if len(pivots) < K:
+            raise RankDeficient(
+                f"monomial multiples of e span rank {len(pivots)}, expected {K}")
+        chars[c] = E[c][:, neg[pivots]]
+    chars = fld.mul(ring.N % fld.p, chars)
+    # the product is freed once gathered, before each G copies its slice
+    G = fld.dot(chars.transpose(0, 2, 1), E)[..., ring._gather]
+    return [(GfMatrix(fld, g), BASIS_BOX if math.prod(kp) == K else BASIS_GREEDY)
+            for g, kp in zip(G, kps)]
 
 
 def _idempotent_rows(ring: Ring, sets) -> np.ndarray:
@@ -198,16 +209,21 @@ def _orbit_boxes(ring: Ring, S):
             stack.append((U + (i,), h + [hi], rest))
 
 
-def _orbit_blocks(ring: Ring, S, E):
+def _orbit_blocks(ring: Ring, sets, E):
     """Weigh one codeword per orbit of the translations and scalars on
-    the nonzero messages over {e_j : j in S}, whose coefficients are the
-    rows of the K x N table E, in the order of S, in blocks of at most
-    CLASS_BLOCK codeword entries (one codeword if N is larger); yield
-    (weights, support, sizes) per block, where support[i] indexes sizes,
-    the orbit size (q-1)^|U| / prod(h) of each support in the chunk.
+    the nonzero messages over {e_j : j in S}, for each of the C sets S of
+    one size K, whose coefficients are the rows of the (C, K, N) stack E,
+    each in the order of its set, in blocks of at most CLASS_BLOCK
+    codeword entries (one codeword if N is larger); yield (weights, own,
+    support, sizes) per block, where own[i] is the set of representative
+    i and support[i] indexes sizes, the orbit size (q-1)^|U| / prod(h) of
+    each support in the chunk.
 
-    The supports come in chunks of CLASS_BLOCK // K, and their
-    representatives are decoded per block from a running index.  The
+    The supports of all the sets, set by set, come in chunks of
+    CLASS_BLOCK // K, and their representatives are decoded per block
+    from one running index.  A block of one set reads that set's logs as
+    one row broadcast over its representatives; only a block shared by
+    several sets gathers the logs of each representative's set.  The
     codeword of logs x is sum_j g^(x_j) e_j, formed in the log domain:
     exp[x_j + log e_j(m)] from the field's doubled exp table needs no
     modulo, and an absent coordinate reads x_j = log 0 = 2(q-1), past
@@ -217,24 +233,25 @@ def _orbit_blocks(ring: Ring, S, E):
     sum is 0 mod p."""
     fld = ring.field
     p, M, N = fld.p, fld.q - 1, ring.N
-    K = len(S)
+    K = E.shape[1]
     logs = fld._log[E]
     table = fld._exp[:3 * M]
     if p > 2:
         table = table // p ** np.arange(fld.m)[:, None] % p
     rows_per_block = max(1, CLASS_BLOCK // N)
-    boxes = _orbit_boxes(ring, S)
+    boxes = ((c, U, h) for c, S in enumerate(sets) for U, h in _orbit_boxes(ring, S))
     while chunk := list(itertools.islice(boxes, max(1, CLASS_BLOCK // K))):
-        counts = [math.prod(h) for _, h in chunk]
+        counts = [math.prod(h) for _, _, h in chunk]
         total = sum(counts)
         if total >= 1 << 63:
             raise BudgetExceeded(
                 f"{total} orbit representatives overflow a 64-bit index")
-        sizes = [M ** len(U) // c for (U, _), c in zip(chunk, counts)]
+        sizes = [M ** len(U) // c for (_, U, _), c in zip(chunk, counts)]
+        owner = np.array([c for c, _, _ in chunk], dtype=np.int64)
         # per support and coordinate: radix, stride (the last coordinate
         # fastest) and the offset log 0 of an absent coordinate
         radix = []
-        for (U, h), stride in zip(chunk, counts):
+        for (_, U, h), stride in zip(chunk, counts):
             box = [1] * (2 * K) + [int(fld._log[0])] * K
             for i, hi in zip(U, h):
                 stride //= hi
@@ -246,23 +263,21 @@ def _orbit_blocks(ring: Ring, S, E):
         for lo in range(0, total, rows_per_block):
             idx = np.arange(lo, min(lo + rows_per_block, total))
             support = np.searchsorted(starts, idx, side="right") - 1
+            own = owner[support]
+            # the owners rise with the index, so the block has one set
+            # exactly when its first and last representatives share it
+            of = own[0] if own[0] == own[-1] else own
             h, stride, absent = radix[support].transpose(1, 0, 2)
             X = (idx - starts[support])[:, None] // stride % h + absent
-            acc = np.take(table, X[:, 0, None] + logs[0], axis=-1)
+            acc = np.take(table, X[:, 0, None] + logs[of, 0], axis=-1)
             for j in range(1, K):
-                term = np.take(table, X[:, j, None] + logs[j], axis=-1)
+                term = np.take(table, X[:, j, None] + logs[of, j], axis=-1)
                 if p == 2:
                     acc ^= term
                 else:
                     acc += term
             nonzero = acc != 0 if p == 2 else (acc % p != 0).any(axis=0)
-            yield np.count_nonzero(nonzero, axis=1), support, sizes
-
-
-def _idempotent_table(ring: Ring, S) -> np.ndarray:
-    """The K x N table of the primitive idempotents e_j, j in S, in the
-    order of S."""
-    return _idempotent_rows(ring, np.array([S]))[0]
+            yield np.count_nonzero(nonzero, axis=1), own, support, sizes
 
 
 def orbit_distance(ring: Ring, S) -> int:
@@ -272,12 +287,16 @@ def orbit_distance(ring: Ring, S) -> int:
     S = closure(S, ring.lengths, ring.field.q)
     if not S:
         raise ZeroIdempotent("zero code has no nonzero codewords")
-    return _orbit_distance(ring, S, _idempotent_table(ring, S))
+    return int(_orbit_distance(ring, [S], _idempotent_rows(ring, np.array([S])))[0])
 
 
-def _orbit_distance(ring: Ring, S, E) -> int:
-    """`orbit_distance` of S, given its table E (`_orbit_blocks`)."""
-    return min(int(weights.min()) for weights, _, _ in _orbit_blocks(ring, S, E))
+def _orbit_distance(ring: Ring, sets, E) -> np.ndarray:
+    """`orbit_distance` of each of the C sets, given their (C, K, N)
+    stack E, in one pass (`_orbit_blocks`)."""
+    d = np.full(len(sets), ring.N)
+    for weights, own, _, _ in _orbit_blocks(ring, sets, E):
+        np.minimum.at(d, own, weights)
+    return d
 
 
 def weight_distribution(ring: Ring, S) -> list:
@@ -288,7 +307,8 @@ def weight_distribution(ring: Ring, S) -> list:
     S = closure(S, ring.lengths, ring.field.q)
     if not S:
         return A
-    for weights, support, sizes in _orbit_blocks(ring, S, _idempotent_table(ring, S)):
+    E = _idempotent_rows(ring, np.array([S]))
+    for weights, _, support, sizes in _orbit_blocks(ring, [S], E):
         counts = np.bincount(support * (N + 1) + weights)
         for i in np.flatnonzero(counts).tolist():
             s, w = divmod(i, N + 1)
@@ -323,40 +343,61 @@ def bound_applicable(S, lengths, kp) -> bool:
 
 def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
     """Full pipeline: close the seeds under the Frobenius action into the
-    defining set S, form the one K x N table E of the primitive
-    idempotents e_j, j in S (`_idempotent_rows`), and read everything else
-    off it: the generating idempotent e = sum_j e_j, the k profile
-    k_t = |proj_t(S)|, and the generator matrix (`build_basis`, from the
-    characters w^(j.m) = N E[k, -m]).  Then the exact distance
-    (`orbit_distance`, on the same table E) when q^K fits the budget."""
+    defining set S and build its record, the stack of one of
+    `_construct_sets`."""
     S = closure(seeds, ring.lengths, ring.field.q)
-    K = len(S)
-    n = ring.N
-    fld = ring.field
+    return _construct_sets(ring, [S], budget)[0]
+
+
+def _construct_sets(ring: Ring, sets, budget: int) -> list:
+    """The CodeRecord of each of the closed defining sets, all of one size
+    K.  Per set S, the one K x N table E of the primitive idempotents e_j,
+    j in S (`_idempotent_rows`) gives everything else: the generating
+    idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|, the
+    generator matrix (`build_basis`, from the characters
+    w^(j.m) = N E[k, -m]) and, when q^K fits the budget, the exact
+    distance (`_orbit_distance`, on the same table E).
+
+    The sets go in chunks of at most CLASS_BLOCK K x N entries (one set
+    if its table is larger): per chunk one stack of tables, one field
+    product for every e, one for every generator and one orbit pass.
+    Every check raises per set: the pivots of each basis and the rank of
+    each generator, and d against the Singleton bound and, where it
+    applies, the product bound."""
+    fld, n = ring.field, ring.N
+    K = len(sets[0]) if sets else 0
     if K == 0:
-        return CodeRecord(ring=ring, defining_set=S, idempotent=ring.zero(),
-                          n=n, K=0, generator=GfMatrix(fld, np.zeros((0, n))))
-    E = _idempotent_table(ring, S)
-    e = Poly(ring, fld.dot(np.ones(K, dtype=np.int64), E).reshape(ring.lengths))
-    kp = tuple(len(set(axis)) for axis in zip(*S))
-    G, kind = build_basis(ring, kp, E)
-    if rank(G) != K:
-        raise RankDeficient("generator matrix rank disagrees with |S|")
-    pb = product_bound(ring.lengths, kp)
-    applicable = bound_applicable(S, ring.lengths, kp)
+        return [CodeRecord(ring=ring, defining_set=S, idempotent=ring.zero(), n=n,
+                           K=0, generator=GfMatrix(fld, np.zeros((0, n))))
+                for S in sets]
     sb = n - K + 1
-    q = ring.field.q
-    d = None
-    if q ** K <= budget:
-        d = _orbit_distance(ring, S, E)
-    if d is not None and d > sb:
-        raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
-    if d is not None and applicable and d < pb:
-        raise BoundViolated(f"d = {d} is below the product bound {pb}")
-    return CodeRecord(
-        ring=ring, defining_set=S, idempotent=e, n=n, K=K, k_profile=kp,
-        basis_kind=kind, generator=G, d=d, product_bound=pb,
-        bound_applicable=applicable, singleton_bound=sb)
+    step = max(1, CLASS_BLOCK // (K * n))
+    records = []
+    for lo in range(0, len(sets), step):
+        chunk = sets[lo:lo + step]
+        E = _idempotent_rows(ring, np.array(chunk, dtype=np.int64))
+        es = fld.dot(np.ones(K, dtype=np.int64), E).reshape((-1,) + ring.lengths)
+        kps = [tuple(len(set(axis)) for axis in zip(*S)) for S in chunk]
+        bases = build_basis(ring, kps, E)
+        for G, _ in bases:
+            if rank(G) != K:
+                raise RankDeficient("generator matrix rank disagrees with |S|")
+        ds = [None] * len(chunk)
+        if fld.q ** K <= budget:
+            ds = [int(d) for d in _orbit_distance(ring, chunk, E)]
+        for S, e, kp, (G, kind), d in zip(chunk, es, kps, bases, ds):
+            pb = product_bound(ring.lengths, kp)
+            applicable = bound_applicable(S, ring.lengths, kp)
+            if d is not None and d > sb:
+                raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
+            if d is not None and applicable and d < pb:
+                raise BoundViolated(f"d = {d} is below the product bound {pb}")
+            records.append(CodeRecord(
+                ring=ring, defining_set=S, idempotent=Poly(ring, e), n=n, K=K,
+                k_profile=kp, basis_kind=kind, generator=G, d=d,
+                product_bound=pb, bound_applicable=applicable,
+                singleton_bound=sb))
+    return records
 
 
 def literal_monomial_sum(ring: Ring, seeds) -> Poly:
@@ -498,8 +539,9 @@ def _projective_messages(q: int, K: int, lo: int, hi: int) -> np.ndarray:
     starts = (powers - 1) // (q - 1)
     idx = np.arange(lo, hi, dtype=np.int64)
     level = np.searchsorted(starts, idx, side="right") - 1
-    value = powers[level] + idx - starts[level]
-    return value[:, None] // powers % q
+    digits = (powers[level] + idx - starts[level])[:, None] // powers
+    digits %= q         # in place: one (hi - lo, K) array is formed
+    return digits
 
 
 def class_distances(ring: Ring, sets) -> np.ndarray:
@@ -520,8 +562,8 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     P = (q ** K - 1) // (q - 1)
     per_block = max(1, CLASS_BLOCK // (P * N))
     step = min(P, max(1, CLASS_BLOCK // N))
-    # the messages are formed once if they fit in one block, else per chunk
-    whole = _projective_messages(q, K, 0, P) if P * K <= CLASS_BLOCK else None
+    # the messages are formed once if they fit in one table, else per chunk
+    whole = _projective_messages(q, K, 0, P) if P * K <= TABLE_LIMIT else None
     best = np.empty(C, dtype=np.int64)
     for c in range(0, C, per_block):
         rows = _idempotent_rows(ring, sets[c:c + per_block])

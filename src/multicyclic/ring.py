@@ -112,15 +112,20 @@ class Ring:
     def transform(self, tensor, inverse=False) -> np.ndarray:
         """Fourier transform of a C-order tensor: out[j] = sum_m tensor[m]
         prod_t w_t^(j_t m_t), or the inverse with w_t^-1 and a factor 1/N.
+        Axes before the last r are batch axes: each tensor along them is
+        transformed on its own, in one pass.
 
-        Each step contracts the leading axis with one axis table and
-        appends the result as the last axis, so after r steps the axes
-        are back in order."""
+        The batch axes are moved last.  Each step contracts the leading
+        axis with one axis table and appends the result as the last axis,
+        so after r steps the batch axes lead and the ring axes follow in
+        order."""
         out = np.asarray(tensor, dtype=np.int64)
+        batch = out.shape[:out.ndim - self.r]
+        out = out.reshape(-1, self.N).T
         for tables in self._axis_tables:
             table = tables[inverse]
             out = self.field.dot(out.reshape(len(table), -1).T, table)
-        return out.reshape(self.lengths)
+        return out.reshape(batch + self.lengths)
 
     def zero(self) -> "Poly":
         return Poly(self, np.zeros(self.lengths, dtype=np.int64))

@@ -716,8 +716,9 @@ def generator_matrix(basis, ring) -> GfMatrix:
 
 def table_build_basis(ring, S, kp: tuple):
     """`codes.build_basis` on the idempotent table of S, formed as
-    `construct` forms it."""
-    return codes.build_basis(ring, kp, codes._idempotent_table(ring, sorted(S)))
+    `construct` forms it, as a stack of one."""
+    E = codes._idempotent_rows(ring, np.array([sorted(S)]))
+    return codes.build_basis(ring, [kp], E)[0]
 
 
 def translation_key(S, lengths) -> tuple:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -341,13 +342,13 @@ def test_construct_stdout_pinned(capsys, argv, fmt):
 
 def test_search_constructs_only_printed_rows(capsys, monkeypatch):
     built = []
-    real = cli.construct
+    real = cli._construct_sets
 
-    def counting(ring, seeds, budget):
-        built.append(seeds)
-        return real(ring, seeds, budget=budget)
+    def counting(ring, sets, budget):
+        built.extend(sets)
+        return real(ring, sets, budget)
 
-    monkeypatch.setattr(cli, "construct", counting)
+    monkeypatch.setattr(cli, "_construct_sets", counting)
     code, out, _ = run(capsys, "search", "--p", "5", "--lengths", "4,2",
                        "--K", "4", "--top", "3")
     assert code == 0 and "70 candidates" in out
@@ -367,8 +368,41 @@ def test_every_rank_check_is_one_elimination(monkeypatch):
     monkeypatch.setattr(codes, "pivot_columns", counting)
     rec = codes.construct(Ring(Field(5), (4, 4)), [(0, 0), (1, 1)])
     assert len(eliminated) == 2 and eliminated[1] is rec.generator
-    cli.readback_check(rec)
+    cli.readback_check([rec])
     assert len(eliminated) == 3 and eliminated[2] is rec.generator
+    # a stack of two: each basis prefix, then each G, in the builder and
+    # again in the read-back
+    eliminated.clear()
+    recs = codes._construct_sets(rec.ring, [((0, 0), (1, 1)), ((0, 1), (2, 3))],
+                                 codes.DEFAULT_BUDGET)
+    cli.readback_check(recs)
+    assert len(eliminated) == 6
+    assert [m is r.generator for m, r in zip(eliminated[2:], recs * 2)] == [True] * 4
+
+
+def _with_row(rec, i, row):
+    G = rec.generator.array.copy()
+    G[i] = row
+    return dataclasses.replace(rec, generator=linalg.GfMatrix(rec.ring.field, G))
+
+
+def test_readback_catches_a_corrupted_row_inside_a_stack():
+    ring = Ring(Field(7), (6, 6))
+    sets = [row.defining_set for row in codes.search(ring, 3)[:5]]
+    recs = codes._construct_sets(ring, sets, codes.DEFAULT_BUDGET)
+    cli.readback_check(recs)
+    # row 1 of the middle record gains a row of the last one: the rank
+    # holds, but its spectrum leaves the middle defining set
+    G = recs[2].generator.array
+    moved = ring.field.add(G[1], recs[4].generator.array[0])
+    bad = recs[:2] + [_with_row(recs[2], 1, moved)] + recs[3:]
+    assert linalg.rank(bad[2].generator) == 3
+    with pytest.raises(MulticyclicError, match="spectrum leaves the defining set"):
+        cli.readback_check(bad)
+    # a row copied from another row of the same record drops the rank
+    bad[2] = _with_row(recs[2], 1, G[0])
+    with pytest.raises(MulticyclicError, match="rank mismatch"):
+        cli.readback_check(bad)
 
 
 def test_search_readback_failure_prints_nothing(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -556,10 +557,13 @@ def test_min_distance_level_over_the_table_limit_in_bounded_memory():
 
 
 def test_bound_violation_raises(ring3, monkeypatch):
-    monkeypatch.setattr(codes, "_orbit_distance", lambda ring, S, E: ring.N)
+    # one d per set of the stack
+    monkeypatch.setattr(codes, "_orbit_distance",
+                        lambda ring, sets, E: np.full(len(sets), ring.N))
     with pytest.raises(BoundViolated, match="Singleton"):
         construct(ring3, REFERENCE_SEEDS_K3)
-    monkeypatch.setattr(codes, "_orbit_distance", lambda ring, S, E: 0)
+    monkeypatch.setattr(codes, "_orbit_distance",
+                        lambda ring, sets, E: np.zeros(len(sets), dtype=int))
     with pytest.raises(BoundViolated, match="product bound"):
         construct(ring3, ring3.monomials)
 
@@ -568,7 +572,7 @@ def test_bound_violation_raises_under_optimize():
     script = (
         "from multicyclic import Field, Ring, codes\n"
         "from multicyclic.errors import BoundViolated\n"
-        "codes._orbit_distance = lambda ring, S, E: ring.N\n"
+        "codes._orbit_distance = lambda ring, sets, E: [ring.N] * len(sets)\n"
         "try:\n"
         "    codes.construct(Ring(Field(3), (2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])\n"
         "except BoundViolated:\n"
@@ -696,3 +700,86 @@ def test_search_sampling_deterministic(ring3, monkeypatch):
     assert len(a) == 20
     assert [r.defining_set for r in a] == [r.defining_set for r in b]
     assert all(r.K == 4 for r in a)
+
+
+# -- the stack builder: many defining sets of one size in one pass ----------
+
+# q^K of the stacks below, so that every set's exact d is in reach quickly
+STACK_CODEWORDS = 3 ** 6
+
+
+def _closed_sets(ring, data, K, count):
+    """count distinct sorted K-subsets of the box, as `closure` gives them."""
+    return data.draw(st.lists(
+        st.lists(st.sampled_from(ring.monomials), min_size=K, max_size=K,
+                 unique=True).map(lambda S: tuple(sorted(S))),
+        min_size=1, max_size=count, unique=True), label="sets")
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in dataclasses.fields(codes.CodeRecord):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+@pytest.mark.parametrize("ring", enumerate_rings(), ids=repr)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_stack_equals_records_built_one_at_a_time(ring, data):
+    q = ring.field.q
+    K_max = max(k for k in range(1, ring.N + 1) if q ** k <= STACK_CODEWORDS)
+    K = data.draw(st.integers(1, K_max), label="K")
+    sets = _closed_sets(ring, data, K, 6)
+    stack = codes._construct_sets(ring, sets, DEFAULT_BUDGET)
+    _assert_same_records(stack, [construct(ring, S) for S in sets])
+    # the projective class pass is an independent enumeration
+    assert [rec.d for rec in stack] == codes.class_distances(ring, sets).tolist()
+
+
+@pytest.mark.parametrize("p,m,lengths,K", [(3, 1, (2, 2, 2), 3), (5, 1, (4, 4), 4),
+                                           (7, 1, (6, 6), 2), (3, 2, (4, 2), 3),
+                                           (2, 3, (7,), 2)])
+def test_stack_is_the_same_across_chunk_boundaries(p, m, lengths, K, monkeypatch):
+    # blocks of two sets' tables, so five sets take chunks of 2, 2 and 1,
+    # and the orbit pass decodes a few representatives per block
+    ring = Ring(Field(p, m), lengths)
+    sets = [tuple(sorted(S)) for S in itertools.islice(
+        itertools.combinations(ring.monomials, K), 3, 8)]
+    whole = codes._construct_sets(ring, sets, DEFAULT_BUDGET)
+    chunks = []
+    real = codes._idempotent_rows
+
+    def counting(ring, sets):
+        chunks.append(len(sets))
+        return real(ring, sets)
+    monkeypatch.setattr(codes, "_idempotent_rows", counting)
+    monkeypatch.setattr(codes, "CLASS_BLOCK", 2 * K * ring.N + 1)
+    _assert_same_records(codes._construct_sets(ring, sets, DEFAULT_BUDGET), whole)
+    assert chunks == [2, 2, 1]
+
+
+def test_orbit_blocks_shared_by_several_sets():
+    # each K = 3 set on 6x6 / GF(7) has a few representatives, so one
+    # block holds the representatives of several sets
+    ring = Ring(Field(7), (6, 6))
+    sets = [tuple(sorted(S)) for S in itertools.islice(
+        itertools.combinations(ring.monomials, 3), 0, 200, 20)]
+    E = codes._idempotent_rows(ring, np.array(sets))
+    owners = [np.unique(own).tolist()
+              for _, own, _, _ in codes._orbit_blocks(ring, sets, E)]
+    assert any(len(block) > 1 for block in owners)
+    assert sorted(set().union(*owners)) == list(range(len(sets)))
+    want = [orbit_distance(ring, S) for S in sets]
+    assert codes._orbit_distance(ring, sets, E).tolist() == want
+    assert [rec.d for rec in codes._construct_sets(ring, sets, DEFAULT_BUDGET)] == want
+
+
+def test_stack_checks_raise_per_set(ring3, monkeypatch):
+    # the d of the second set alone breaks the Singleton bound
+    sets = [((0, 0, 0), (0, 0, 1), (0, 1, 0)), ((0, 0, 0), (0, 1, 1), (1, 1, 0))]
+    monkeypatch.setattr(codes, "_orbit_distance",
+                        lambda ring, sets, E: np.array([4, ring.N])[:len(sets)])
+    with pytest.raises(BoundViolated, match="d = 8 exceeds the Singleton bound 6"):
+        codes._construct_sets(ring3, sets, DEFAULT_BUDGET)
+    assert codes._construct_sets(ring3, sets[:1], DEFAULT_BUDGET)[0].d == 4

@@ -439,6 +439,63 @@ def test_class_blocks_bound_memory(monkeypatch):
         construct(ring, r.defining_set).d for r in rows]
 
 
+def _sets_of(ring, K, picks):
+    """The K-subsets at the given positions of the combinations of the box."""
+    combos = list(itertools.islice(itertools.combinations(ring.monomials, K),
+                                   max(picks) + 1))
+    return np.array([combos[i] for i in picks], dtype=np.int64)
+
+
+def _counting_messages(monkeypatch):
+    calls = []
+    real = codes._projective_messages
+
+    def counting(q, K, lo, hi):
+        calls.append((lo, hi))
+        return real(q, K, lo, hi)
+    monkeypatch.setattr(codes, "_projective_messages", counting)
+    return calls
+
+
+def test_class_pass_forms_the_messages_once(monkeypatch):
+    # 4x4 / GF(5), K = 7: 19,531 messages of 7 digits, over one block
+    # but under one table, are formed once for every class
+    ring = Ring(Field(5), (4, 4))
+    calls = _counting_messages(monkeypatch)
+    d = class_distances(ring, _sets_of(ring, 7, [0, 100, 2000]))
+    assert calls == [(0, (5 ** 7 - 1) // 4)]
+    assert d.tolist() == [construct(ring, S).d
+                          for S in _sets_of(ring, 7, [0, 100, 2000]).tolist()]
+
+
+def test_class_pass_chunks_the_messages_past_the_table_limit(monkeypatch):
+    # 156 messages of 4 digits exceed a table limit of 100, so they are
+    # formed per chunk; the K x N = 64 tables stay under it
+    ring = Ring(Field(5), (4, 4))
+    sets = _sets_of(ring, 4, [0, 7, 300, 1000])
+    whole = class_distances(ring, sets)
+    calls = _counting_messages(monkeypatch)
+    monkeypatch.setattr(codes, "TABLE_LIMIT", 100)
+    monkeypatch.setattr(codes, "CLASS_BLOCK", 40 * ring.N)
+    assert class_distances(ring, sets).tolist() == whole.tolist()
+    assert len(calls) == 4 * 4 and max(hi - lo for lo, hi in calls) == 40
+
+
+def test_class_pass_messages_in_bounded_memory():
+    # K = 8: 97,656 messages of 8 digits, 6.25 MB of int64; the digits
+    # are reduced in place, where one more temporary would pass 12.5 MB
+    ring = Ring(Field(5), (4, 4))
+    sets = _sets_of(ring, 8, [0, 500])
+    tracemalloc.start()
+    try:
+        d = class_distances(ring, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert d.tolist() == [4, 6]
+
+
 def test_monomial_keys_bound_memory(monkeypatch):
     # 16x16x16 / GF(17), K = 3: the group has 8^3 x 3! = 3,072 elements,
     # and the images of the ~200 translation classes under all of them at

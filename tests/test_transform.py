@@ -67,6 +67,21 @@ def test_mul_matches_schoolbook_oracle(ring, data):
     assert a * b == schoolbook_mul(a, b)
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=IDS)
+@oracle_settings
+@given(data=st.data())
+def test_batched_transform_equals_its_slices(ring, data):
+    # leading axes are a batch: each slice is transformed on its own
+    batch = data.draw(st.sampled_from([(1,), (3,), (2, 3)]), label="batch")
+    values = data.draw(arrays(np.int64, batch + ring.lengths,
+                              elements=st.integers(0, ring.field.q - 1)))
+    for inverse in (False, True):
+        got = ring.transform(values, inverse=inverse)
+        assert got.shape == values.shape
+        for at in np.ndindex(batch):
+            assert np.array_equal(got[at], ring.transform(values[at], inverse=inverse))
+
+
 def test_transform_memory_is_linear_at_n_4096():
     # dense N x N tables would take 128 MB each here
     tracemalloc.start()
