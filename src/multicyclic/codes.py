@@ -32,7 +32,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import orbits as orb_mod
 from .errors import (
     BoundViolated,
     BudgetExceeded,
@@ -421,12 +420,14 @@ class SearchRow:
 
 class _RankedRows(Sequence):
     """The ranked candidates of `search`, read-only: row i is formed as a
-    SearchRow from the orbit representatives only when it is read, and a
-    slice gives a list of rows.  Iteration ends at the IndexError numpy
-    raises past the end."""
+    SearchRow from its C-order flat indices into the index box only when
+    it is read, and a slice gives a list of rows.  Iteration ends at the
+    IndexError numpy raises past the end."""
 
-    def __init__(self, reps, sel, d, K):
-        self._reps, self._sel, self._d, self._K = reps, sel, d, K
+    def __init__(self, lengths, sel, d, K):
+        # the index tuples in C order: one lookup per member of a row
+        self._box = list(itertools.product(*map(range, lengths)))
+        self._sel, self._d, self._K = sel, d, K
 
     def __len__(self) -> int:
         return len(self._d)
@@ -438,7 +439,7 @@ class _RankedRows(Sequence):
         return self._row(self._sel[i].tolist(), self._d[i].item())
 
     def _row(self, row, dist) -> SearchRow:
-        return SearchRow(tuple(map(self._reps.__getitem__, row)), self._K, dist)
+        return SearchRow(tuple(map(self._box.__getitem__, row)), self._K, dist)
 
 
 def _keep_least(best, rows) -> None:
@@ -554,7 +555,9 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     a block of classes at once, and d is the least number of nonzero
     entries.  A block holds at most CLASS_BLOCK codeword entries (one
     codeword if N is larger): several classes with all their messages, or
-    one class and a chunk of its messages."""
+    one class and a chunk of its messages.  The messages are formed in
+    tables of at most TABLE_LIMIT digits, each once: every block of
+    classes is weighed against one table before the next is formed."""
     fld = ring.field
     sets = np.asarray(sets, dtype=np.int64)
     C, K, _ = sets.shape
@@ -562,18 +565,17 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
     P = (q ** K - 1) // (q - 1)
     per_block = max(1, CLASS_BLOCK // (P * N))
     step = min(P, max(1, CLASS_BLOCK // N))
-    # the messages are formed once if they fit in one table, else per chunk
-    whole = _projective_messages(q, K, 0, P) if P * K <= TABLE_LIMIT else None
-    best = np.empty(C, dtype=np.int64)
-    for c in range(0, C, per_block):
-        rows = _idempotent_rows(ring, sets[c:c + per_block])
-        weight = np.full(len(rows), N)
-        for lo in range(0, P, step):
-            msgs = (whole[lo:lo + step] if whole is not None
-                    else _projective_messages(q, K, lo, min(lo + step, P)))
-            words = fld.dot(msgs, rows)
-            weight = np.minimum(weight, np.count_nonzero(words, axis=2).min(axis=1))
-        best[c:c + per_block] = weight
+    span = max(1, TABLE_LIMIT // K)
+    best = np.full(C, N)
+    for lo in range(0, P, span):
+        msgs = _projective_messages(q, K, lo, min(lo + span, P))
+        for c in range(0, C, per_block):
+            rows = _idempotent_rows(ring, sets[c:c + per_block])
+            weight = best[c:c + per_block]
+            for m in range(0, len(msgs), step):
+                words = fld.dot(msgs[m:m + step], rows)
+                np.minimum(weight, np.count_nonzero(words, axis=2).min(axis=1),
+                           out=weight)
     return best
 
 
@@ -597,16 +599,15 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")
     # n_t | q-1 makes every orbit a singleton, so the candidates are the
-    # K_target-subsets of the orbits
-    orbs = orb_mod.all_orbits(ring.lengths, ring.field.q)
-    total = math.comb(len(orbs), K_target)
-    q = ring.field.q
+    # K_target-subsets of the N indices, taken as C-order flat indices
+    N, q, lengths = ring.N, ring.field.q, ring.lengths
+    total = math.comb(N, K_target)
     if q ** K_target > budget:
         raise BudgetExceeded(
             f"{q ** K_target} codewords exceed budget {budget}: "
             "candidates cannot be ranked")
     if total <= EXHAUSTIVE_LIMIT:
-        combos = itertools.combinations(range(len(orbs)), K_target)
+        combos = itertools.combinations(range(N), K_target)
         sel = np.fromiter(itertools.chain.from_iterable(combos),
                           dtype=np.int64, count=total * K_target)
         sel = sel.reshape(total, K_target)
@@ -614,25 +615,22 @@ def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
         rng = random.Random(seed)
         drawn = set()
         while len(drawn) < min(SAMPLES, total):
-            drawn.add(tuple(sorted(rng.sample(range(len(orbs)), K_target))))
+            drawn.add(tuple(sorted(rng.sample(range(N), K_target))))
         sel = np.array(sorted(drawn), dtype=np.int64)
-    # orbits come sorted by representative, so each row of sel, and the
-    # rows in their order, follow the lexicographic order of S
-    reps = [o.representative for o in orbs]
-    lengths = ring.lengths
-    coords = np.array(reps, dtype=np.int64)
-    # sel[:, 0] is each candidate's least member
-    first, of = group_rows(_anchored([coords[sel, t] for t in range(ring.r)],
-                                     0, lengths))
-    cls_first, cls_of = group_rows(translation_keys(coords[sel[first]], lengths))
-    classes, of = coords[sel[first[cls_first]]], cls_of[of]
+    # C order is the lexicographic order of the index tuples, so each row
+    # of sel, and the rows in their order, follow the lexicographic order
+    # of S; sel[:, 0] is each candidate's least member
+    first, of = group_rows(_anchored(np.unravel_index(sel, lengths), 0, lengths))
+    reps = np.stack(np.unravel_index(sel[first], lengths), axis=-1)
+    cls_first, cls_of = group_rows(translation_keys(reps, lengths))
+    classes, of = reps[cls_first], cls_of[of]
     # weighing a class takes messages x N entries; keying it takes, per
     # group element, K translates of K r entries (`translation_keys`)
-    weigh = (q ** K_target - 1) // (q - 1) * ring.N
+    weigh = (q ** K_target - 1) // (q - 1) * N
     key = _automorphisms(lengths)[0] * K_target ** 2 * ring.r
     if len(classes) * weigh > CLASS_BLOCK and key < weigh:
         mono_first, mono_of = group_rows(monomial_keys(classes, lengths))
         classes, of = classes[mono_first], mono_of[of]
     d = class_distances(ring, classes)[of]
     order = np.argsort(-d, kind="stable")
-    return _RankedRows(reps, sel[order], d[order], K_target)
+    return _RankedRows(lengths, sel[order], d[order], K_target)

@@ -90,13 +90,10 @@ def combinatorial_form(e: Poly, multiplier: int | None = None) -> dict:
     {representative: 1} for every orbit on which the spectrum is 1; with
     `idempotent_from_set` over the closure this forms a round-trip.
     """
-    from .spectral import fourier
-
     ring = e.ring
     if multiplier is None:
         multiplier = ring.field.q
-    spec = fourier(e)
-    vals = spec.values
+    vals = ring.transform(e.coeffs)
     bad = [tuple(j) for j in np.argwhere((vals != 0) & (vals != 1)).tolist()]
     if bad:
         raise NotIdempotent(

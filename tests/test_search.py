@@ -468,9 +468,18 @@ def test_class_pass_forms_the_messages_once(monkeypatch):
                           for S in _sets_of(ring, 7, [0, 100, 2000]).tolist()]
 
 
+def _tile_once(calls, P, span):
+    """The (lo, hi) message ranges cover [0, P) once, in order, with at
+    most span messages each."""
+    return (calls[0][0] == 0 and calls[-1][1] == P
+            and all(hi == lo for (_, hi), (lo, _) in zip(calls, calls[1:]))
+            and all(0 < hi - lo <= span for lo, hi in calls))
+
+
 def test_class_pass_chunks_the_messages_past_the_table_limit(monkeypatch):
     # 156 messages of 4 digits exceed a table limit of 100, so they are
-    # formed per chunk; the K x N = 64 tables stay under it
+    # formed in tables of 100 // 4 = 25, each once for all 4 classes;
+    # the K x N = 64 tables stay under it
     ring = Ring(Field(5), (4, 4))
     sets = _sets_of(ring, 4, [0, 7, 300, 1000])
     whole = class_distances(ring, sets)
@@ -478,7 +487,38 @@ def test_class_pass_chunks_the_messages_past_the_table_limit(monkeypatch):
     monkeypatch.setattr(codes, "TABLE_LIMIT", 100)
     monkeypatch.setattr(codes, "CLASS_BLOCK", 40 * ring.N)
     assert class_distances(ring, sets).tolist() == whole.tolist()
-    assert len(calls) == 4 * 4 and max(hi - lo for lo, hi in calls) == 40
+    assert _tile_once(calls, (5 ** 4 - 1) // 4, 100 // 4)
+
+
+def test_class_pass_message_tables_stay_under_the_table_limit(monkeypatch):
+    # 2x2x2x2 / GF(3), K = 12: 265,720 messages of 12 digits are 3,188,640
+    # digits, over TABLE_LIMIT, so they come in 4 tables, each formed once
+    ring = Ring(Field(3), (2, 2, 2, 2))
+    sets = _sets_of(ring, 12, [0])
+    calls = _counting_messages(monkeypatch)
+    d = class_distances(ring, sets)
+    P = (3 ** 12 - 1) // 2
+    assert P * 12 > codes.TABLE_LIMIT
+    assert len(calls) == 4 and _tile_once(calls, P, codes.TABLE_LIMIT // 12)
+    assert d.tolist() == [construct(ring, sets[0].tolist()).d]
+
+
+def test_search_builds_no_orbits(monkeypatch):
+    # the candidates are K-subsets of the index box: no Orbit is formed
+    from multicyclic import orbits
+
+    cases = [(Ring(Field(3), (2, 2, 2)), 3, 0, construct_every_candidate_search),
+             (Ring(Field(7), (6, 6)), 3, 0, translation_class_search),
+             (Ring(Field(17), (16, 16)), 3, 3, translation_class_search)]
+    expected = [ranked(oracle(ring, K, seed=seed))
+                for ring, K, seed, oracle in cases]
+
+    def refuse(*args):
+        raise AssertionError("search built an orbit")
+    monkeypatch.setattr(orbits, "all_orbits", refuse)
+    monkeypatch.setattr(orbits, "orbit_of", refuse)
+    for (ring, K, seed, _), want in zip(cases, expected):
+        assert ranked(search(ring, K, seed=seed)) == want
 
 
 def test_class_pass_messages_in_bounded_memory():
