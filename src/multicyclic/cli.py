@@ -58,6 +58,15 @@ _EXIT_CODES = ((OrderNotDividing, EXIT_ORDER), (BudgetExceeded, EXIT_BUDGET),
 _TUPLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _integers(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of `text`; an error names the flag."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--{flag}: {text!r} is not a comma-separated "
+                         "list of integers") from None
+
+
 def parse_seeds(text: str):
     """Semicolon-separated parenthesized integer tuples, whitespace-insensitive."""
     text = text.strip()
@@ -68,11 +77,10 @@ def parse_seeds(text: str):
     for chunk in chunks:
         m = _TUPLE_RE.fullmatch(chunk.strip())
         if not m:
-            raise ValueError(f"bad seed tuple: {chunk!r}")
-        inner = m.group(1).strip()
-        if not inner:
-            raise ValueError(f"empty seed tuple: {chunk!r}")
-        seeds.append(tuple(int(x) for x in inner.split(",")))
+            raise ValueError(f"--seeds: bad seed tuple: {chunk!r}")
+        if not m.group(1).strip():
+            raise ValueError(f"--seeds: empty seed tuple: {chunk!r}")
+        seeds.append(_integers("seeds", m.group(1)))
     return seeds
 
 
@@ -81,12 +89,9 @@ def format_defining_set(S) -> str:
 
 
 def _build_ring(args) -> Ring:
-    modulus = None
-    if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
+    modulus = _integers("modulus", args.modulus) if args.modulus else None
     field = Field(args.p, args.m, modulus)
-    lengths = tuple(int(n) for n in args.lengths.split(","))
-    return Ring(field, lengths)
+    return Ring(field, _integers("lengths", args.lengths))
 
 
 # -- record rendering ------------------------------------------------------

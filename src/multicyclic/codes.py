@@ -6,11 +6,12 @@ columns of E at the negated exponents, since E[k, -m] = w^(j_k.m) / N,
 one field product of those characters with E), exact minimum distance
 and the product bound, built for a stack of defining sets of one size
 in one pass (`construct` builds the stack of one), plus
-exhaustive/randomized search over orbit
-unions, which groups its candidates into classes of translations and
-monomial automorphisms, weighs one code per class in one batched pass
-over the primitive idempotents of each defining set, and returns a
-read-only sequence that forms each ranked row when it is read.
+exhaustive/sampled search over the K-subsets of the N C-order flat
+indices of the index box, which groups its candidates into classes of
+translations and monomial automorphisms, weighs one code per class in
+one batched pass over the primitive idempotents of each defining set,
+and returns a read-only sequence that forms each ranked row when it is
+read.
 
 The exact distance of `construct` weighs one codeword per orbit of the
 translations and scalars, which act diagonally on messages over the

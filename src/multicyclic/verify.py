@@ -41,7 +41,9 @@ def property_suite(ring: Ring, seed: int = 0):
     # e_a e_b is the inverse transform of the pointwise product of the two
     # spectra, zero exactly when their supports are disjoint: one matrix
     # product counts the shared support of every pair (exact in float32,
-    # since N <= 1,024), and the upper triangle is read in pair order
+    # since N <= 1,024), and the upper triangle is read in pair order; it is
+    # the package's one BLAS call, and runs on one OpenBLAS thread unless
+    # the caller chose a count (see `multicyclic/__init__.py`)
     support = np.array([s.values.ravel() != 0 for s in spectra.values()],
                        dtype=np.float32)
     shared = np.argwhere(np.triu(support @ support.T, 1)).tolist()

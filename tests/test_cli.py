@@ -156,6 +156,18 @@ def test_negative_budget_rejected(capsys, command, zero_budget_exit):
     assert code == zero_budget_exit and "must be 0 or more" not in err
 
 
+@pytest.mark.parametrize("flag, value, bad", [
+    ("--lengths", "4,,4", "'4,,4'"),
+    ("--modulus", "1,a", "'1,a'"),
+    ("--seeds", "(0,)", "'0,'"),
+])
+def test_malformed_integers_name_the_flag(capsys, flag, value, bad):
+    argv = {"--p": "5", "--lengths": "4", "--seeds": "(0)", flag: value}
+    code, out, err = run(capsys, "construct", *(x for kv in argv.items() for x in kv))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag}: {bad} is not a comma-separated list of integers\n"
+
+
 def test_search_reference(capsys):
     code, out, _ = run(capsys, "search", "--p", "3", "--lengths", "2,2,2",
                        "--K", "3", "--top", "5")
@@ -522,3 +534,44 @@ def test_started_without_stdout_exits_0():
     # with fd 1 closed, sys.stdout is None and print writes nothing
     proc = _cli_process(("reproduce",), None, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0, proc.stderr
+
+
+# OpenBLAS starts no thread pool on one core, and threads are counted in
+# /proc/self/task
+needs_blas_pool = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or os.cpu_count() == 1,
+    reason="needs /proc/self/task and two or more cores")
+
+
+def _import_report(first="", **preset):
+    """Import `first`, then multicyclic.cli, in a fresh interpreter whose
+    environment holds `preset`; return its thread count, the value of
+    OPENBLAS_NUM_THREADS and whether the import left os.environ as it was."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = (f"import json, os\n{first}\nbefore = dict(os.environ)\n"
+            "import multicyclic.cli\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@needs_blas_pool
+def test_import_starts_blas_with_one_thread():
+    threads, value, unchanged = _import_report()
+    assert threads == 1 and value is None and unchanged
+
+
+@needs_blas_pool
+def test_import_keeps_the_callers_blas_thread_count():
+    _, value, unchanged = _import_report(OPENBLAS_NUM_THREADS="2")
+    assert value == "2" and unchanged
+
+
+@needs_blas_pool
+def test_import_after_numpy_leaves_the_environment():
+    _, value, unchanged = _import_report("import numpy")
+    assert value is None and unchanged
