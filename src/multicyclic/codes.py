@@ -19,7 +19,10 @@ primitive idempotents {e_j : j in S}: per message support, the orbits
 are the cosets of a lattice of discrete logs, and the box under the
 diagonal of its Hermite normal form is a transversal.  One pass weighs
 the orbits of every set of a stack.  The orbit sizes give the weight
-distribution too.
+distribution too.  A set that is the product of its projections (basis
+kind box) spans the tensor product of its per-axis cyclic codes, whose
+d is the product of theirs: `construct` weighs the orbits of each axis
+code, not of the K-dimensional one.
 """
 
 from __future__ import annotations
@@ -299,6 +302,31 @@ def _orbit_distance(ring: Ring, sets, E) -> np.ndarray:
     return d
 
 
+def _tensor_distance(ring: Ring, S, memo: dict) -> int:
+    """Exact minimum distance of the code of a set S that is the product
+    of its projections P_t = proj_t(S): that code is the tensor product
+    C_1 x ... x C_r of the cyclic codes of length n_t spanned by the
+    univariate idempotents at P_t, and its d is prod_t d(C_t)
+    (MacWilliams-Sloane, ch. 18, sec. 2).  Each d(C_t) is `_orbit_distance`
+    on the one-axis ring of length n_t, whose idempotent rows are the P_t
+    rows of the inverse axis table (the root of unity is a function of
+    the field and n_t); memo holds it per (n_t, P_t).  A code of one
+    primitive idempotent, whose coefficients n_t^-1 w^(-jm) are all
+    nonzero, has d(C_t) = n_t and takes no pass."""
+    d = 1
+    for t, (n, (_, inv)) in enumerate(zip(ring.lengths, ring._axis_tables)):
+        P = tuple(sorted({j[t] for j in S}))
+        if len(P) == 1:
+            d *= n
+            continue
+        if (n, P) not in memo:
+            axis = Ring(ring.field, (n,))
+            memo[n, P] = int(_orbit_distance(axis, [[(j,) for j in P]],
+                                             inv[list(P)][None])[0])
+        d *= memo[n, P]
+    return d
+
+
 def weight_distribution(ring: Ring, S) -> list:
     """A[w], the number of codewords of weight w in the code of closure(S),
     for w = 0..N: each orbit representative of weight w counts its orbit."""
@@ -356,14 +384,18 @@ def _construct_sets(ring: Ring, sets, budget: int) -> list:
     idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|, the
     generator matrix (`build_basis`, from the characters
     w^(j.m) = N E[k, -m]) and, when q^K fits the budget, the exact
-    distance (`_orbit_distance`, on the same table E).
+    distance: prod_t d(C_t) of its per-axis codes when S is the product
+    of its projections, prod(k_t) = K, i.e. basis kind box
+    (`_tensor_distance`, each d(C_t) once per call), else
+    `_orbit_distance` on the same table E.
 
     The sets go in chunks of at most CLASS_BLOCK K x N entries (one set
     if its table is larger): per chunk one stack of tables, one field
-    product for every e, one for every generator and one orbit pass.
-    Every check raises per set: the pivots of each basis and the rank of
-    each generator, and d against the Singleton bound and, where it
-    applies, the product bound."""
+    product for every e, one for every generator and one orbit pass over
+    the rows of the sets that are not products.  Every check raises per
+    set: the pivots of each basis and the rank of each generator, and d
+    against the Singleton bound and, where it applies, the product
+    bound."""
     fld, n = ring.field, ring.N
     K = len(sets[0]) if sets else 0
     if K == 0:
@@ -372,6 +404,7 @@ def _construct_sets(ring: Ring, sets, budget: int) -> list:
                 for S in sets]
     sb = n - K + 1
     step = max(1, CLASS_BLOCK // (K * n))
+    axis_ds = {}
     records = []
     for lo in range(0, len(sets), step):
         chunk = sets[lo:lo + step]
@@ -384,7 +417,16 @@ def _construct_sets(ring: Ring, sets, budget: int) -> list:
                 raise RankDeficient("generator matrix rank disagrees with |S|")
         ds = [None] * len(chunk)
         if fld.q ** K <= budget:
-            ds = [int(d) for d in _orbit_distance(ring, chunk, E)]
+            ds = [_tensor_distance(ring, S, axis_ds) if kind == BASIS_BOX else None
+                  for S, (_, kind) in zip(chunk, bases)]
+            rest = [c for c, d in enumerate(ds) if d is None]
+            if rest:
+                # a chunk of one set's table may hold TABLE_LIMIT entries:
+                # copy rows only when some set took the tensor route
+                sub = E if len(rest) == len(chunk) else E[rest]
+                rest_ds = _orbit_distance(ring, [chunk[c] for c in rest], sub)
+                for c, d in zip(rest, rest_ds):
+                    ds[c] = int(d)
         for S, e, kp, (G, kind), d in zip(chunk, es, kps, bases, ds):
             pb = product_bound(ring.lengths, kp)
             applicable = bound_applicable(S, ring.lengths, kp)

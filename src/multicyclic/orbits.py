@@ -15,11 +15,17 @@ and printed form reads it in that order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NotIdempotent, NotOrbitConstant
+from .errors import (
+    IndexOutOfRange,
+    NotIdempotent,
+    NotOrbitConstant,
+    OrderNotDividing,
+)
 from .ring import Poly
 
 
@@ -48,7 +54,14 @@ def frobenius(idx, lengths, multiplier: int):
 
 
 def orbit_of(idx, lengths, multiplier: int) -> Orbit:
+    """The orbit of idx under `frobenius`.  The multiplier must be a unit
+    mod every n_t (OrderNotDividing otherwise): a non-unit maps two
+    indices to one, and the walk from idx would never come back to it."""
     idx = _check_box(idx, lengths)
+    for t, n in enumerate(lengths):
+        if math.gcd(multiplier, n) != 1:
+            raise OrderNotDividing(
+                f"axis {t + 1}: multiplier {multiplier} is not a unit mod n = {n}")
     cycle = [idx]
     cur = frobenius(idx, lengths, multiplier)
     while cur != idx:

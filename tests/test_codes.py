@@ -27,7 +27,7 @@ from multicyclic import (
     weight_distribution,
 )
 from multicyclic import codes
-from multicyclic.cli import record_to_text
+from multicyclic.cli import main, record_to_text
 from multicyclic.codes import (
     BASIS_BOX,
     BASIS_GREEDY,
@@ -783,3 +783,110 @@ def test_stack_checks_raise_per_set(ring3, monkeypatch):
     with pytest.raises(BoundViolated, match="d = 8 exceeds the Singleton bound 6"):
         codes._construct_sets(ring3, sets, DEFAULT_BUDGET)
     assert codes._construct_sets(ring3, sets[:1], DEFAULT_BUDGET)[0].d == 4
+
+
+# -- box codes: d is the product of the per-axis distances -------------------
+
+def _product_sets(ring):
+    """Every product P_1 x ... x P_r of nonempty per-axis sets whose q^K
+    fits the default budget, as sorted tuples, grouped by K."""
+    axes = [[P for k in range(1, n + 1) for P in itertools.combinations(range(n), k)]
+            for n in ring.lengths]
+    by_K = {}
+    for Ps in itertools.product(*axes):
+        S = tuple(itertools.product(*Ps))
+        if ring.field.q ** len(S) <= DEFAULT_BUDGET:
+            by_K.setdefault(len(S), []).append(S)
+    return by_K
+
+
+@pytest.mark.parametrize("ring", [r for r in enumerate_rings() if r.N <= 16], ids=repr)
+def test_tensor_route_matches_the_orbit_route_on_every_product_set(ring):
+    for K, sets in _product_sets(ring).items():
+        recs = codes._construct_sets(ring, sets, DEFAULT_BUDGET)
+        assert all(rec.basis_kind == BASIS_BOX for rec in recs)
+        assert [rec.d for rec in recs] == [orbit_distance(ring, S) for S in sets]
+
+
+@pytest.mark.parametrize("ring", [r for r in enumerate_rings() if r.N > 16], ids=repr)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_tensor_route_matches_the_orbit_route_on_drawn_product_sets(ring, data):
+    Ps = [data.draw(st.sets(st.integers(0, n - 1), min_size=1), label=f"P{t}")
+          for t, n in enumerate(ring.lengths)]
+    S = tuple(itertools.product(*map(sorted, Ps)))
+    if ring.field.q ** len(S) > DEFAULT_BUDGET:
+        return
+    rec = construct(ring, S)
+    assert rec.basis_kind == BASIS_BOX and rec.defining_set == S
+    assert rec.d == orbit_distance(ring, S)
+
+
+@pytest.mark.parametrize("ring", enumerate_rings(), ids=repr)
+def test_axis_ring_rows_are_the_inverse_axis_table(ring):
+    # the root of unity is a function of (field, n_t), so the one-axis
+    # ring's idempotent rows are the rows of the parent's inverse table
+    for n, (_, inv) in zip(ring.lengths, ring._axis_tables):
+        axis = Ring(ring.field, (n,))
+        rows = codes._idempotent_rows(axis, np.arange(n).reshape(1, n, 1))
+        assert np.array_equal(rows[0], inv)
+
+
+def _recording_orbit_distance(monkeypatch):
+    """Record (ring.lengths, sets) of every `_orbit_distance` call."""
+    calls = []
+    real = codes._orbit_distance
+
+    def recording(ring, sets, E):
+        calls.append((ring.lengths, [tuple(S) for S in sets]))
+        return real(ring, sets, E)
+    monkeypatch.setattr(codes, "_orbit_distance", recording)
+    return calls
+
+
+def test_box_codes_weigh_only_their_axes(monkeypatch):
+    calls = _recording_orbit_distance(monkeypatch)
+    rec = construct(Ring(Field(3, 2), (8, 8)), DISTANCE_CODES[2][3])
+    assert (rec.n, rec.K, rec.d, rec.basis_kind) == (64, 6, 42, BASIS_BOX)
+    # proj_1 = {0, 1, 2} and proj_2 = {0, 1}: an [8, 3, 6] and an [8, 2, 7]
+    assert calls == [((8,), [((0,), (1,), (2,))]), ((8,), [((0,), (1,))])]
+    calls.clear()
+    # one primitive idempotent on axes 2 and 3: d = 16 there, with no pass
+    rec = construct(Ring(Field(17), (16, 16, 16)), [(0, 0, 0), (1, 0, 0)])
+    assert (rec.n, rec.K, rec.d) == (4096, 2, 3840)
+    assert calls == [((16,), [((0,), (1,))])]
+    calls.clear()
+    rec = construct(Ring(Field(13), (12, 12)), DISTANCE_CODES[3][3])
+    assert (rec.n, rec.K, rec.d, rec.basis_kind) == (144, 5, 120, BASIS_GREEDY)
+    assert calls == [((12, 12), [rec.defining_set])]
+
+
+def test_mixed_stack_weighs_only_its_other_sets_in_k_dimensions(capsys, monkeypatch):
+    calls = _recording_orbit_distance(monkeypatch)
+    stacks = []
+    real = codes._construct_sets
+
+    def recording(ring, sets, budget):
+        stacks.append(sets)
+        return real(ring, sets, budget)
+    monkeypatch.setattr("multicyclic.cli._construct_sets", recording)
+    assert main(["search", "--p", "5", "--lengths", "4,4", "--K", "4", "--top", "0"]) == 0
+    capsys.readouterr()
+    [sets] = stacks
+    others = [S for S in sets if math.prod(len({j[t] for j in S}) for t in range(2)) != 4]
+    assert 0 < len(others) < len(sets)
+    assert [S for lengths, sets in calls if lengths == (4, 4) for S in sets] == others
+    assert {lengths for lengths, _ in calls} == {(4, 4), (4,)}
+
+
+def test_per_axis_distance_one_too_small_raises(monkeypatch):
+    real = codes._orbit_distance
+
+    def short(ring, sets, E):
+        d = real(ring, sets, E)
+        return d - 1 if ring.r == 1 else d
+    monkeypatch.setattr(codes, "_orbit_distance", short)
+    ring = Ring(Field(2, 4), (15, 15))
+    # both axes are a [15, 2, 14] Reed-Solomon code: 13 * 13 < 196
+    with pytest.raises(BoundViolated, match="d = 169 is below the product bound 196"):
+        construct(ring, DISTANCE_CODES[0][3])

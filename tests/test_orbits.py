@@ -17,7 +17,12 @@ from multicyclic import (
     orbit_of,
     primitive_idempotent,
 )
-from multicyclic.errors import IndexOutOfRange, NotIdempotent, NotOrbitConstant
+from multicyclic.errors import (
+    IndexOutOfRange,
+    NotIdempotent,
+    NotOrbitConstant,
+    OrderNotDividing,
+)
 
 from conftest import enumerate_rings
 
@@ -63,6 +68,33 @@ def test_orbit_of_mod_seven():
     assert set(orb.members) == {(3,), (6,), (5,)}
     # iteration order starts at the representative and follows sigma
     assert orb.members == ((3,), (6,), (5,))
+
+
+# 2 is not a unit mod 4: the walk 1 -> 2 -> 0 -> 0 never returns to 1
+NON_UNIT = "axis 2: multiplier 2 is not a unit mod n = 4"
+
+
+def test_orbit_of_refuses_a_non_unit_multiplier():
+    with pytest.raises(OrderNotDividing, match=NON_UNIT):
+        orbit_of((0, 1), (7, 4), 2)
+    with pytest.raises(OrderNotDividing, match="axis 1: multiplier 2 is not a unit mod n = 4"):
+        orbit_of((1,), (4,), 2)
+
+
+def test_all_orbits_refuses_a_non_unit_multiplier():
+    with pytest.raises(OrderNotDividing, match=NON_UNIT):
+        all_orbits((7, 4), 2)
+
+
+def test_closure_refuses_a_non_unit_multiplier():
+    with pytest.raises(OrderNotDividing, match=NON_UNIT):
+        closure([(3, 0)], (7, 4), 2)
+
+
+def test_combinatorial_form_refuses_a_non_unit_multiplier(f5):
+    # 1 is idempotent, so the multiplier is the only fault
+    with pytest.raises(OrderNotDividing, match="axis 1: multiplier 2 is not a unit mod n = 4"):
+        combinatorial_form(Ring(f5, (4,)).one(), multiplier=2)
 
 
 def test_all_orbits_partition():
