@@ -302,7 +302,7 @@ def _orbit_distance(ring: Ring, sets, E) -> np.ndarray:
     return d
 
 
-def _tensor_distance(ring: Ring, S, memo: dict) -> int:
+def _tensor_distance(ring: Ring, proj, memo: dict) -> int:
     """Exact minimum distance of the code of a set S that is the product
     of its projections P_t = proj_t(S): that code is the tensor product
     C_1 x ... x C_r of the cyclic codes of length n_t spanned by the
@@ -312,10 +312,10 @@ def _tensor_distance(ring: Ring, S, memo: dict) -> int:
     rows of the inverse axis table (the root of unity is a function of
     the field and n_t); memo holds it per (n_t, P_t).  A code of one
     primitive idempotent, whose coefficients n_t^-1 w^(-jm) are all
-    nonzero, has d(C_t) = n_t and takes no pass."""
+    nonzero, has d(C_t) = n_t and takes no pass.  proj[t] is P_t, sorted,
+    as `_construct_sets` forms it once per set."""
     d = 1
-    for t, (n, (_, inv)) in enumerate(zip(ring.lengths, ring._axis_tables)):
-        P = tuple(sorted({j[t] for j in S}))
+    for n, P, (_, inv) in zip(ring.lengths, proj, ring._axis_tables):
         if len(P) == 1:
             d *= n
             continue
@@ -348,25 +348,11 @@ def product_bound(lengths, kp) -> int:
     return math.prod(n - k + 1 for n, k in zip(lengths, kp))
 
 
-def _is_cyclic_interval(values, n) -> bool:
-    vals = set(values)
-    if len(vals) in (0, n):
-        return True
-    return any(all((s + i) % n in vals for i in range(len(vals))) for s in vals)
-
-
-def bound_applicable(S, lengths, kp) -> bool:
-    """The product bound is guaranteed only when the defining set is a
-    Cartesian product of per-axis cyclic intervals (so the code is a
-    tensor product of MDS-like univariate codes).  The weaker condition
-    prod(k_t) = K admits counterexamples, e.g. S = {0, 4} at length 8
-    over a field with an 8th root of unity.  kp is the k profile of the
-    idempotent of S, so k_t = |proj_t(S)| and S is the product of its
-    projections exactly when prod(k_t) = |S|."""
-    if math.prod(kp) != len(S):
-        return False
-    proj = [{idx[t] for idx in S} for t in range(len(lengths))]
-    return all(_is_cyclic_interval(a, n) for a, n in zip(proj, lengths))
+def _is_cyclic_interval(P, n) -> bool:
+    """Whether the sorted distinct residues P mod n are s, s + 1, ...,
+    s + |P| - 1 mod n for some s: at most one cyclic step between
+    neighbours is not +1."""
+    return sum((b - a) % n != 1 for a, b in zip(P, P[1:] + P[:1])) <= 1
 
 
 def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
@@ -380,13 +366,15 @@ def construct(ring: Ring, seeds, budget: int = DEFAULT_BUDGET) -> CodeRecord:
 def _construct_sets(ring: Ring, sets, budget: int) -> list:
     """The CodeRecord of each of the closed defining sets, all of one size
     K.  Per set S, the one K x N table E of the primitive idempotents e_j,
-    j in S (`_idempotent_rows`) gives everything else: the generating
-    idempotent e = sum_j e_j, the k profile k_t = |proj_t(S)|, the
-    generator matrix (`build_basis`, from the characters
-    w^(j.m) = N E[k, -m]) and, when q^K fits the budget, the exact
-    distance: prod_t d(C_t) of its per-axis codes when S is the product
-    of its projections, prod(k_t) = K, i.e. basis kind box
-    (`_tensor_distance`, each d(C_t) once per call), else
+    j in S (`_idempotent_rows`) gives the generating idempotent
+    e = sum_j e_j and the generator matrix (`build_basis`, from the
+    characters w^(j.m) = N E[k, -m]), and the sorted projections
+    P_t = proj_t(S), formed once per set, give the k profile
+    k_t = |P_t|, the axis codes of the tensor route and whether the
+    product bound applies: basis kind box (S is the product of its
+    projections, prod(k_t) = K) and every P_t a cyclic interval.  When
+    q^K fits the budget, d is exact: prod_t d(C_t) of the per-axis codes
+    of a box set (`_tensor_distance`, each d(C_t) once per call), else
     `_orbit_distance` on the same table E.
 
     The sets go in chunks of at most CLASS_BLOCK K x N entries (one set
@@ -410,15 +398,16 @@ def _construct_sets(ring: Ring, sets, budget: int) -> list:
         chunk = sets[lo:lo + step]
         E = _idempotent_rows(ring, np.array(chunk, dtype=np.int64))
         es = fld.dot(np.ones(K, dtype=np.int64), E).reshape((-1,) + ring.lengths)
-        kps = [tuple(len(set(axis)) for axis in zip(*S)) for S in chunk]
+        projs = [[tuple(sorted(set(axis))) for axis in zip(*S)] for S in chunk]
+        kps = [tuple(map(len, proj)) for proj in projs]
         bases = build_basis(ring, kps, E)
         for G, _ in bases:
             if rank(G) != K:
                 raise RankDeficient("generator matrix rank disagrees with |S|")
         ds = [None] * len(chunk)
         if fld.q ** K <= budget:
-            ds = [_tensor_distance(ring, S, axis_ds) if kind == BASIS_BOX else None
-                  for S, (_, kind) in zip(chunk, bases)]
+            ds = [_tensor_distance(ring, proj, axis_ds) if kind == BASIS_BOX else None
+                  for proj, (_, kind) in zip(projs, bases)]
             rest = [c for c, d in enumerate(ds) if d is None]
             if rest:
                 # a chunk of one set's table may hold TABLE_LIMIT entries:
@@ -427,9 +416,12 @@ def _construct_sets(ring: Ring, sets, budget: int) -> list:
                 rest_ds = _orbit_distance(ring, [chunk[c] for c in rest], sub)
                 for c, d in zip(rest, rest_ds):
                     ds[c] = int(d)
-        for S, e, kp, (G, kind), d in zip(chunk, es, kps, bases, ds):
+        for S, e, proj, kp, (G, kind), d in zip(chunk, es, projs, kps, bases, ds):
             pb = product_bound(ring.lengths, kp)
-            applicable = bound_applicable(S, ring.lengths, kp)
+            # a product of non-intervals can fall below the bound: {0, 4} at
+            # length 8 over GF(9) gives [8, 2, 4]_9 against the bound 7
+            applicable = (kind == BASIS_BOX
+                          and all(map(_is_cyclic_interval, proj, ring.lengths)))
             if d is not None and d > sb:
                 raise BoundViolated(f"d = {d} exceeds the Singleton bound {sb}")
             if d is not None and applicable and d < pb:
@@ -452,7 +444,7 @@ def literal_monomial_sum(ring: Ring, seeds) -> Poly:
     return Poly(ring, values)
 
 
-# -- search over orbit selections ------------------------------------------
+# -- search over K-subsets of the index box --------------------------------
 
 @dataclass(frozen=True)
 class SearchRow:
@@ -624,20 +616,20 @@ def class_distances(ring: Ring, sets) -> np.ndarray:
 
 def search(ring: Ring, K_target: int, budget: int = DEFAULT_BUDGET,
            seed: int = 0) -> Sequence[SearchRow]:
-    """All (or sampled) unions of orbits of total size K_target, ranked by
-    exact distance descending, ties toward the lexicographically smallest
-    defining set.  A translate S + a multiplies every codeword by a
-    character, and a monomial automorphism maps the code of S to an
-    equivalent one.  So `group_rows` groups the candidates at three
-    levels: by the translate that puts their least member at the origin,
-    each such set by `translation_keys`, and each translation class by
-    `monomial_keys` when weighing the translation classes would overflow
-    one CLASS_BLOCK and cost more than keying them.  `class_distances`
-    weighs one representative per final class in one batched pass and no
-    `construct`; every candidate gets its class's d through the composed
-    groupings, and a stable sort on d ranks them.  The ranking stays as
-    arrays: the result is a read-only sequence that forms a SearchRow
-    only when it is read.
+    """All (or sampled) K_target-subsets of the N C-order flat indices of
+    the index box, ranked by exact distance descending, ties toward the
+    lexicographically smallest defining set.  A translate S + a
+    multiplies every codeword by a character, and a monomial automorphism
+    maps the code of S to an equivalent one.  So `group_rows` groups the
+    candidates at three levels: by the translate that puts their least
+    member at the origin, each such set by `translation_keys`, and each
+    translation class by `monomial_keys` when weighing the translation
+    classes would overflow one CLASS_BLOCK and cost more than keying
+    them.  `class_distances` weighs one representative per final class in
+    one batched pass and no `construct`; every candidate gets its class's
+    d through the composed groupings, and a stable sort on d ranks them.
+    The ranking stays as arrays: the result is a read-only sequence that
+    forms a SearchRow only when it is read.
     Raises BudgetExceeded, weighing nothing, when q^K_target > budget."""
     if not 1 <= K_target <= ring.N:
         raise Infeasible(f"K = {K_target} outside [1, {ring.N}]")

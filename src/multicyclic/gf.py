@@ -13,8 +13,6 @@ are pure.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -273,12 +271,6 @@ class Field:
         if (self.q - 1) % n != 0:
             raise OrderNotDividing(f"{n} does not divide q-1 = {self.q - 1}")
         return self.pow(self.generator, (self.q - 1) // n)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("order of zero")
-        # a = g^(log a) and g has order q - 1
-        return (self.q - 1) // math.gcd(int(self._log[a]), self.q - 1)
 
     def __repr__(self):
         if self.m == 1:

@@ -890,3 +890,49 @@ def test_per_axis_distance_one_too_small_raises(monkeypatch):
     # both axes are a [15, 2, 14] Reed-Solomon code: 13 * 13 < 196
     with pytest.raises(BoundViolated, match="d = 169 is below the product bound 196"):
         construct(ring, DISTANCE_CODES[0][3])
+
+
+# -- product bound applicability, k profile and basis kind -------------------
+
+def _axis_subsets(n):
+    """Nonempty subsets of Z_n: any set, or a cyclic interval."""
+    interval = st.tuples(st.integers(0, n - 1), st.integers(1, n)).map(
+        lambda sk: {(sk[0] + i) % n for i in range(sk[1])})
+    return st.one_of(st.sets(st.integers(0, n - 1), min_size=1), interval)
+
+
+def _brute_fields(lengths, S):
+    """Oracle: (bound_applicable, k_profile, basis_kind) of the set S read
+    off its projections by set comparisons: the bound applies when S is
+    the product of its projections and each is a cyclic interval."""
+    proj = [{j[t] for j in S} for t in range(len(lengths))]
+    box = set(itertools.product(*proj)) == set(S)
+    intervals = all(any(P == {(s + i) % n for i in range(len(P))} for s in range(n))
+                    for P, n in zip(proj, lengths))
+    return box and intervals, tuple(map(len, proj)), BASIS_BOX if box else BASIS_GREEDY
+
+
+@pytest.mark.parametrize("ring", enumerate_rings(), ids=repr)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_applicability_matches_brute_force(ring, data):
+    if data.draw(st.booleans(), label="product"):
+        Ps = [data.draw(_axis_subsets(n), label=f"P{t}") for t, n in enumerate(ring.lengths)]
+        S = tuple(itertools.product(*map(sorted, Ps)))
+    else:
+        S = data.draw(st.sets(st.sampled_from(ring.monomials), min_size=1), label="S")
+    # n_t | q - 1, so S is closed; budget 0 leaves d out
+    rec = construct(ring, S, budget=0)
+    assert rec.defining_set == tuple(sorted(S))
+    assert (rec.bound_applicable, rec.k_profile, rec.basis_kind) == \
+        _brute_fields(ring.lengths, S)
+
+
+def test_product_of_non_intervals_falls_below_the_product_bound():
+    # {0, 4} on 8 / GF(9): the product of its one projection, which is not
+    # a cyclic interval, so the bound 7 is informational only and d = 4
+    rec = construct(Ring(Field(3, 2), (8,)), [(0,), (4,)])
+    assert rec.params() == "[8, 2, 4]_9"
+    assert rec.basis_kind == BASIS_BOX and rec.k_profile == (2,)
+    assert rec.product_bound == 7 and rec.bound_applicable is False
+    assert "product bound: 7 (informational only)" in record_to_text(rec)
